@@ -7,22 +7,18 @@
 //	experiments -run table5
 //	experiments -run table6
 //	experiments -run mutators       # section 4.1 registry stats
-//	experiments -run schedbench     # scheduling/cache ablation -> BENCH_sched.json
-//	experiments -run hotloopbench   # batched hot-loop bench -> BENCH_hotloop.json
-//	experiments -run coverbench     # shared-coverage merge pair -> BENCH_cover.json
-//	experiments -run benchgate      # compare fresh benches vs committed BENCH files
+//	experiments -run schedbench     # scheduling ablation -> BENCH_sched.json
+//	experiments -run benchgate      # compare a fresh schedbench vs BENCH_sched.json
 //	experiments -run flightreport -flight-journal flight.jsonl
 //
 // The -steps / -invocations / -macrosteps flags scale the campaigns.
 // -sched switches the μCFuzz/macro campaigns between the legacy
 // uniform shuffle (default) and the adaptive UCB bandit; schedbench
-// runs both, with the mutant cache off and on, and writes the result
-// to -out (default BENCH_sched.json). hotloopbench times the same
-// campaign with reward batching off and on (-hotloop-out), coverbench
-// times the shared-coverage locking pair (-cover-out), and benchgate
-// re-runs the campaign benches and exits nonzero if throughput
-// regresses >10% vs the committed BENCH files or determinism breaks
-// (see docs/PERFORMANCE.md).
+// runs both and writes the result to -out (default BENCH_sched.json),
+// and benchgate re-runs schedbench and exits nonzero if throughput
+// regresses >10% vs the committed record or determinism breaks (see
+// docs/PERFORMANCE.md). Every -run name is checked before anything
+// runs; an unknown one exits 2.
 //
 // The table6 campaign runs on the parallel engine: -workers sets the
 // goroutine count (results are identical at any value), -checkpoint DIR
@@ -51,6 +47,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 
@@ -60,9 +58,34 @@ import (
 	"github.com/icsnju/metamut-go/internal/obs"
 )
 
+// experimentNames are the values -run accepts.
+var experimentNames = []string{"table1", "table2", "table3", "rq1", "table5",
+	"table6", "mutators", "schedbench", "benchgate", "flightreport", "all"}
+
+// parseRun splits a -run list into the set of experiments to run. It
+// rejects the whole list if any name is unknown, so a typo never runs
+// the rest silently.
+func parseRun(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	var unknown []string
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(experimentNames, name) {
+			unknown = append(unknown, strconv.Quote(name))
+			continue
+		}
+		want[name] = true
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment %s (known: %s)",
+			strings.Join(unknown, ", "), strings.Join(experimentNames, ","))
+	}
+	return want, nil
+}
+
 func main() {
 	var (
-		run         = flag.String("run", "all", "comma-separated experiments: table1,table2,table3,rq1,table5,table6,mutators,schedbench,hotloopbench,coverbench,benchgate,flightreport,all")
+		run         = flag.String("run", "all", "comma-separated experiments: "+strings.Join(experimentNames, ","))
 		seed        = flag.Int64("seed", 20240427, "random seed")
 		steps       = flag.Int("steps", 4000, "RQ1 compilations per fuzzer per compiler")
 		table5Steps = flag.Int("table5steps", 800, "compilations per Table 5 repetition")
@@ -75,16 +98,19 @@ func main() {
 		triageOut   = flag.String("triage-out", "", "table6: directory for per-compiler triage reports (JSON)")
 		triageRed   = flag.Bool("triage-reduce", false, "table6: minimize each triaged witness (slower)")
 		schedKind   = flag.String("sched", "", "mutator scheduling for rq1/table5/table6: uniform (default) or adaptive")
-		benchSteps  = flag.Int("schedbench-steps", 6000, "schedbench/hotloopbench/benchgate: compilations per bench variant")
+		benchSteps  = flag.Int("schedbench-steps", 6000, "schedbench/benchgate: steps per bench variant")
 		benchOut    = flag.String("out", "BENCH_sched.json", "schedbench: where to write the JSON result")
-		hotloopOut  = flag.String("hotloop-out", "BENCH_hotloop.json", "hotloopbench: where to write the JSON result")
-		coverOut    = flag.String("cover-out", "BENCH_cover.json", "coverbench: where to write the JSON result")
-		benchDir    = flag.String("bench-dir", ".", "benchgate: directory holding the committed BENCH_*.json files")
+		benchDir    = flag.String("bench-dir", ".", "benchgate: directory holding the committed BENCH_sched.json")
 		flightIn    = flag.String("flight-journal", "", "flightreport: flight journal (JSONL) to replay")
 		flightMet   = flag.String("flight-metrics", "", "flightreport: metrics snapshot JSON to join stage latency from")
 	)
 	cli := obs.BindCLIFlags()
 	flag.Parse()
+	want, err := parseRun(*run)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	switch *schedKind {
 	case "", "uniform", "adaptive":
 	default:
@@ -114,16 +140,10 @@ func main() {
 	cfg.Sched = *schedKind
 	cfg.SchedBenchSteps = *benchSteps
 
-	want := map[string]bool{}
-	for _, name := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(name)] = true
-	}
 	all := want["all"]
-	ran := false
 
 	if all || want["mutators"] {
 		fmt.Println(experiments.MutatorOverview())
-		ran = true
 	}
 	if all || want["table1"] || want["table2"] || want["table3"] {
 		sp := reg.Span("campaign")
@@ -138,7 +158,6 @@ func main() {
 		if all || want["table3"] {
 			fmt.Println(experiments.Table3(st))
 		}
-		ran = true
 	}
 	if all || want["rq1"] {
 		sp := reg.Span("rq1")
@@ -148,14 +167,12 @@ func main() {
 		fmt.Println(experiments.Figure8(r))
 		fmt.Println(experiments.Figure9(r))
 		fmt.Println(experiments.Table4(r))
-		ran = true
 	}
 	if all || want["table5"] {
 		sp := reg.Span("table5")
 		rows := experiments.RunTable5(cfg)
 		sp.End()
 		fmt.Println(experiments.Table5(rows))
-		ran = true
 	}
 	if all || want["table6"] {
 		if cfg.CheckpointDir != "" {
@@ -193,7 +210,6 @@ func main() {
 				}
 			}
 		}
-		ran = true
 	}
 	if want["schedbench"] {
 		// Deliberately not part of -run all: it is a performance ablation,
@@ -209,41 +225,10 @@ func main() {
 			}
 			fmt.Printf("ablation written to %s\n", *benchOut)
 		}
-		ran = true
-	}
-	if want["hotloopbench"] {
-		// Like schedbench: a performance record, not a paper table, so
-		// not part of -run all. BENCH_hotloop.json is its committed record.
-		sp := reg.Span("hotloopbench")
-		r := experiments.RunHotLoopBench(cfg)
-		sp.End()
-		fmt.Println(r.Render())
-		if *hotloopOut != "" {
-			if err := r.WriteJSON(*hotloopOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("hot-loop bench written to %s\n", *hotloopOut)
-		}
-		ran = true
-	}
-	if want["coverbench"] {
-		sp := reg.Span("coverbench")
-		r := experiments.RunCoverBench()
-		sp.End()
-		fmt.Println(r.Render())
-		if *coverOut != "" {
-			if err := r.WriteJSON(*coverOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("cover bench written to %s\n", *coverOut)
-		}
-		ran = true
 	}
 	if want["benchgate"] {
-		// The CI-facing perf gate: reruns the campaign benches and
-		// compares them to the committed BENCH files (make bench-gate).
+		// The CI-facing perf gate: reruns schedbench and compares it
+		// to BENCH_sched.json (make bench-gate).
 		sp := reg.Span("benchgate")
 		fails := experiments.RunBenchGate(cfg, *benchDir)
 		sp.End()
@@ -253,8 +238,7 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Println("bench-gate ok: throughput within 10% of committed BENCH files, determinism intact")
-		ran = true
+		fmt.Println("bench-gate ok: throughput within 10% of BENCH_sched.json, determinism intact")
 	}
 	if want["flightreport"] {
 		// Not part of -run all: it replays an existing journal rather
@@ -288,11 +272,6 @@ func main() {
 			}
 			fmt.Print(flight.RenderLatency(&snap))
 		}
-		ran = true
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *run)
-		os.Exit(2)
 	}
 	if err := shutdown(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

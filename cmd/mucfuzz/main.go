@@ -37,14 +37,12 @@
 //
 //	mucfuzz -macro -steps 40000 -flight flight.jsonl -flight-report
 //
-// Scheduling and caching: -sched picks the mutator scheduling policy —
-// "adaptive" (the default) runs a per-stream UCB bandit over mutator
-// reward, "uniform" restores the legacy unbiased shuffle; a resumed
-// campaign inherits the checkpoint's policy unless -sched is given
-// explicitly. -mutant-cache N bounds the dedup cache in front of the
-// compiler (0 disables); identical mutants compile once.
+// Scheduling: -sched picks the mutator scheduling policy — "adaptive"
+// (the default) runs a per-stream UCB bandit over mutator reward,
+// "uniform" restores the legacy unbiased shuffle; a resumed campaign
+// inherits the checkpoint's policy unless -sched is given explicitly.
 //
-//	mucfuzz -macro -steps 40000 -sched uniform -mutant-cache 0   # ablation
+//	mucfuzz -macro -steps 40000 -sched uniform   # ablation
 //
 // Fault injection: -chaos SEED arms the deterministic chaos harness on a
 // macro campaign — worker panics before stream steps plus torn/failed
@@ -103,7 +101,6 @@ func main() {
 		noStatic  = flag.Bool("no-static", false, "ablation: compile statically-invalid mutants instead of filtering them")
 		chaosSeed = flag.Int64("chaos", 0, "macro campaign: arm the deterministic chaos harness with this fault seed (0 = off)")
 		schedKind = flag.String("sched", "adaptive", "mutator scheduling policy: uniform or adaptive (UCB bandit)")
-		cacheCap  = flag.Int("mutant-cache", 4096, "dedup cache over compile results: max entries (0 = off)")
 		flightOut = flag.String("flight", "", "write the flight journal (JSONL, logical time only) to this file")
 		flightMax = flag.Int64("flight-max-bytes", 64<<20, "rotate the flight journal after this many bytes (0 = unbounded)")
 		flightRep = flag.Bool("flight-report", false, "print the replayed flight report at exit")
@@ -152,7 +149,6 @@ func main() {
 	}
 	comp := compilersim.New(*compiler, version)
 	comp.Instrument(reg)
-	comp.EnableMutantCache(*cacheCap)
 
 	var mutators []*muast.Mutator
 	switch *set {

@@ -60,7 +60,6 @@ type Compiler struct {
 	bugs    []Bug
 	passes  []Pass
 	tele    *compilerTelemetry
-	cache   *mutantCache
 
 	// Per-stage tracer seeds (HashString(Name+".fe") etc.), hashed once
 	// so per-compilation tracer setup allocates nothing.
@@ -76,7 +75,6 @@ type Compiler struct {
 type compilerTelemetry struct {
 	ok, reject, crash, hang *obs.Counter
 	byComponent             *obs.CounterVec
-	cacheHits               *obs.Counter
 }
 
 // New returns a compiler for the given profile name ("gcc"/"clang").
@@ -134,12 +132,10 @@ func (c *Compiler) Instrument(reg *obs.Registry) {
 		crash:       results.With(c.Name, "crash"),
 		hang:        results.With(c.Name, "hang"),
 		byComponent: reg.Counter("compiler_crashes_total", "compiler", "component"),
-		cacheHits:   reg.Counter("mutant_cache_hits_total").With(),
 	}
 }
 
-// record updates the outcome counters for one (possibly cached)
-// compilation; cache hits count like fresh ones so rates stay honest.
+// record updates the outcome counters for one compilation.
 func (t *compilerTelemetry) record(c *Compiler, res Result) {
 	switch {
 	case res.OK:
@@ -155,30 +151,15 @@ func (t *compilerTelemetry) record(c *Compiler, res Result) {
 	}
 }
 
-// Compile runs the full pipeline on src, consulting the mutant cache
-// first when one is enabled. The result is fully owned by the caller:
-// compilation happens through a pooled context and the borrowed result
-// is deep-cloned before the context returns to the pool. Fuzzing streams
-// that can honor the borrow discipline should hold a Context and call
-// Context.Compile instead.
+// Compile runs the full pipeline on src. The result is fully owned by
+// the caller: compilation happens through a pooled context and the
+// borrowed result is deep-cloned before the context returns to the
+// pool. Fuzzing streams that can honor the borrow discipline should
+// hold a Context and call Context.Compile instead.
 func (c *Compiler) Compile(src string, opts Options) Result {
-	var key [32]byte
-	if c.cache != nil {
-		key = mutantKey(src, opts)
-		if res, ok := c.cache.get(key); ok {
-			if t := c.tele; t != nil {
-				t.cacheHits.Inc()
-				t.record(c, res)
-			}
-			return res
-		}
-	}
 	cx := c.ctxs.Get().(*Context)
 	res := cloneResult(cx.compile(src, opts))
 	c.ctxs.Put(cx)
-	if c.cache != nil {
-		c.cache.put(key, res)
-	}
 	if t := c.tele; t != nil {
 		t.record(c, res)
 	}

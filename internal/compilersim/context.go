@@ -65,29 +65,12 @@ func (c *Compiler) NewContext() *Context {
 	return cx
 }
 
-// Compile runs the full pipeline on src through this context, consulting
-// the compiler's mutant cache when one is enabled. The result is
-// borrowed (valid until the next Compile on this context); cache entries
-// are deep clones, so cached results stay immutable and shareable.
+// Compile runs the full pipeline on src through this context. The
+// result is borrowed (valid until the next Compile on this context).
 func (cx *Context) Compile(src string, opts Options) Result {
-	c := cx.c
-	var key [32]byte
-	if c.cache != nil {
-		key = mutantKey(src, opts)
-		if res, ok := c.cache.get(key); ok {
-			if t := c.tele; t != nil {
-				t.cacheHits.Inc()
-				t.record(c, res)
-			}
-			return res
-		}
-	}
 	res := cx.compile(src, opts)
-	if c.cache != nil {
-		c.cache.put(key, cloneResult(res))
-	}
-	if t := c.tele; t != nil {
-		t.record(c, res)
+	if t := cx.c.tele; t != nil {
+		t.record(cx.c, res)
 	}
 	return res
 }

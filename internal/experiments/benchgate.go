@@ -20,99 +20,48 @@ type GateFailure struct {
 	Got   string `json:"got"`
 }
 
-// RunBenchGate re-runs the committed benches and compares them against
-// the BENCH_*.json files in the repo root (or wherever dir points):
+// RunBenchGate re-runs schedbench and compares it against
+// BENCH_sched.json in dir: ticks, edges and crashes per variant must
+// match exactly (the determinism gate), and edges/sec must not regress
+// more than 10%.
 //
-//   - schedbench edges/sec per variant must not regress more than 10%
-//     vs BENCH_sched.json, and ticks/edges/crashes must match exactly
-//     (the determinism gate rides along for free);
-//   - hotloopbench edges/sec likewise vs BENCH_hotloop.json, and the
-//     batch=1 and batch=8 variants must agree with each other.
-//
-// The allocation budgets are enforced separately and unconditionally by
-// TestHotLoopAllocBudget (testing.AllocsPerRun needs the testing
-// harness). Returns the failures; empty means the gate passes.
+// The hot-loop allocation budget is enforced separately and
+// unconditionally by TestHotLoopAllocBudget (testing.AllocsPerRun needs
+// the testing harness). Returns the failures; empty means the gate
+// passes.
 func RunBenchGate(cfg Config, dir string) []GateFailure {
-	var fails []GateFailure
-
-	var committed SchedBenchResult
-	if ok := loadJSON(dir+"/BENCH_sched.json", &committed, &fails); ok {
-		fresh := RunSchedBench(cfg)
-		for i, want := range committed.Variants {
-			if i >= len(fresh.Variants) {
-				fails = append(fails, GateFailure{Check: "sched:" + want.Name,
-					Want: "variant present", Got: "missing"})
-				continue
-			}
-			got := fresh.Variants[i]
-			if got.Ticks != want.Ticks || got.Edges != want.Edges || got.Crashes != want.Crashes {
-				fails = append(fails, GateFailure{
-					Check: "sched-determinism:" + want.Name,
-					Want:  fmt.Sprintf("ticks=%d edges=%d crashes=%d", want.Ticks, want.Edges, want.Crashes),
-					Got:   fmt.Sprintf("ticks=%d edges=%d crashes=%d", got.Ticks, got.Edges, got.Crashes),
-				})
-			}
-			if want.EdgesPerSec > 0 && got.EdgesPerSec < benchGateTolerance*want.EdgesPerSec {
-				fails = append(fails, GateFailure{
-					Check: "sched-throughput:" + want.Name,
-					Want:  fmt.Sprintf(">= %.0f edges/s (90%% of committed %.0f)", benchGateTolerance*want.EdgesPerSec, want.EdgesPerSec),
-					Got:   fmt.Sprintf("%.0f edges/s", got.EdgesPerSec),
-				})
-			}
-		}
+	path := dir + "/BENCH_sched.json"
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return []GateFailure{{Check: "load:" + path, Want: "committed bench file", Got: err.Error()}}
 	}
-
-	var hot HotLoopBenchResult
-	if ok := loadJSON(dir+"/BENCH_hotloop.json", &hot, &fails); ok {
-		fresh := RunHotLoopBench(cfg)
-		for i, want := range hot.Variants {
-			if i >= len(fresh.Variants) {
-				fails = append(fails, GateFailure{Check: "hotloop:" + want.Name,
-					Want: "variant present", Got: "missing"})
-				continue
-			}
-			got := fresh.Variants[i]
-			if got.Ticks != want.Ticks || got.Edges != want.Edges || got.Crashes != want.Crashes {
-				fails = append(fails, GateFailure{
-					Check: "hotloop-determinism:" + want.Name,
-					Want:  fmt.Sprintf("ticks=%d edges=%d crashes=%d", want.Ticks, want.Edges, want.Crashes),
-					Got:   fmt.Sprintf("ticks=%d edges=%d crashes=%d", got.Ticks, got.Edges, got.Crashes),
-				})
-			}
-			if want.EdgesPerSec > 0 && got.EdgesPerSec < benchGateTolerance*want.EdgesPerSec {
-				fails = append(fails, GateFailure{
-					Check: "hotloop-throughput:" + want.Name,
-					Want:  fmt.Sprintf(">= %.0f edges/s (90%% of committed %.0f)", benchGateTolerance*want.EdgesPerSec, want.EdgesPerSec),
-					Got:   fmt.Sprintf("%.0f edges/s", got.EdgesPerSec),
-				})
-			}
+	var committed SchedBenchResult
+	if err := json.Unmarshal(data, &committed); err != nil {
+		return []GateFailure{{Check: "parse:" + path, Want: "valid JSON", Got: err.Error()}}
+	}
+	var fails []GateFailure
+	fresh := RunSchedBench(cfg)
+	for i, want := range committed.Variants {
+		if i >= len(fresh.Variants) {
+			fails = append(fails, GateFailure{Check: "sched:" + want.Name,
+				Want: "variant present", Got: "missing"})
+			continue
 		}
-		if len(fresh.Variants) == 2 {
-			a, b := fresh.Variants[0], fresh.Variants[1]
-			if a.Ticks != b.Ticks || a.Edges != b.Edges || a.Crashes != b.Crashes {
-				fails = append(fails, GateFailure{
-					Check: "hotloop-batch-identity",
-					Want:  "batch=1 and batch=8 byte-identical",
-					Got: fmt.Sprintf("batch=1 ticks=%d edges=%d; batch=8 ticks=%d edges=%d",
-						a.Ticks, a.Edges, b.Ticks, b.Edges),
-				})
-			}
+		got := fresh.Variants[i]
+		if got.Ticks != want.Ticks || got.Edges != want.Edges || got.Crashes != want.Crashes {
+			fails = append(fails, GateFailure{
+				Check: "sched-determinism:" + want.Name,
+				Want:  fmt.Sprintf("ticks=%d edges=%d crashes=%d", want.Ticks, want.Edges, want.Crashes),
+				Got:   fmt.Sprintf("ticks=%d edges=%d crashes=%d", got.Ticks, got.Edges, got.Crashes),
+			})
+		}
+		if want.EdgesPerSec > 0 && got.EdgesPerSec < benchGateTolerance*want.EdgesPerSec {
+			fails = append(fails, GateFailure{
+				Check: "sched-throughput:" + want.Name,
+				Want:  fmt.Sprintf(">= %.0f edges/s (90%% of committed %.0f)", benchGateTolerance*want.EdgesPerSec, want.EdgesPerSec),
+				Got:   fmt.Sprintf("%.0f edges/s", got.EdgesPerSec),
+			})
 		}
 	}
 	return fails
-}
-
-func loadJSON(path string, into any, fails *[]GateFailure) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		*fails = append(*fails, GateFailure{Check: "load:" + path,
-			Want: "committed bench file", Got: err.Error()})
-		return false
-	}
-	if err := json.Unmarshal(data, into); err != nil {
-		*fails = append(*fails, GateFailure{Check: "parse:" + path,
-			Want: "valid JSON", Got: err.Error()})
-		return false
-	}
-	return true
 }

@@ -70,7 +70,7 @@ type Config struct {
 	// shuffle (baseline results stay bit-identical), "adaptive" runs
 	// the per-stream UCB bandit from internal/sched.
 	Sched string
-	// SchedBenchSteps is the per-variant budget of the scheduling/cache
+	// SchedBenchSteps is the per-variant budget of the scheduling
 	// ablation (RunSchedBench).
 	SchedBenchSteps int
 	// Ctx, when non-nil, interrupts the RQ2 campaign at the next epoch

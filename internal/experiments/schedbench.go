@@ -18,29 +18,22 @@ import (
 	"github.com/icsnju/metamut-go/internal/seeds"
 )
 
-// schedBenchPool is deliberately tiny: a small corpus makes the fuzzers
-// re-derive identical mutants often, which is exactly the duplication
-// the mutant cache exists to absorb (a production-sized corpus dilutes
-// the effect without changing the mechanism).
+// schedBenchPool is the seed-corpus size of the committed
+// BENCH_sched.json; every count in that record depends on it.
 const schedBenchPool = 12
 
-// SchedBenchVariant is one cell of the scheduling × caching ablation.
+// SchedBenchVariant is one cell of the scheduling ablation.
 type SchedBenchVariant struct {
-	Name     string `json:"name"`
-	Sched    string `json:"sched"`
-	CacheCap int    `json:"cache_cap"`
+	Name  string `json:"name"`
+	Sched string `json:"sched"`
 
 	Ticks           int     `json:"ticks"`
 	Edges           int     `json:"edges"`
 	Crashes         int     `json:"crashes"`
 	EdgesPer1kTicks float64 `json:"edges_per_1k_ticks"`
-	// Compiles is the number of full pipeline executions: Ticks minus
-	// the compilations answered from the mutant cache.
-	Compiles       int     `json:"compiles"`
-	CacheHits      int64   `json:"cache_hits"`
-	ParseCacheHits int64   `json:"parse_cache_hits"`
-	Seconds        float64 `json:"seconds"`
-	EdgesPerSec    float64 `json:"edges_per_sec"`
+	ParseCacheHits  int64   `json:"parse_cache_hits"`
+	Seconds         float64 `json:"seconds"`
+	EdgesPerSec     float64 `json:"edges_per_sec"`
 }
 
 // SchedBenchResult is the full ablation: the BENCH_sched.json payload.
@@ -52,12 +45,10 @@ type SchedBenchResult struct {
 	Variants []SchedBenchVariant `json:"variants"`
 }
 
-// RunSchedBench measures the adaptive scheduler and the mutant cache
-// against the uniform/uncached baseline: four macro campaigns on the
-// engine, identical seed and budget, varying only the policy and the
-// cache. Scheduling changes what gets compiled (edges per tick);
-// caching changes how much compiling costs (pipeline executions per
-// tick) without changing any result.
+// RunSchedBench measures the adaptive scheduler against the uniform
+// baseline: two μCFuzz campaigns on the engine, identical seed and
+// budget, varying only the policy. Scheduling changes what gets
+// compiled, so it shows as edges per tick.
 func RunSchedBench(cfg Config) *SchedBenchResult {
 	pool := seeds.Generate(schedBenchPool, cfg.Seed)
 	res := &SchedBenchResult{
@@ -66,30 +57,13 @@ func RunSchedBench(cfg Config) *SchedBenchResult {
 		Streams: 4,
 		Pool:    schedBenchPool,
 	}
-	variants := []struct {
-		kind     string
-		cacheCap int
-	}{
-		{"uniform", 0},
-		{"uniform", 4096},
-		{"adaptive", 0},
-		{"adaptive", 4096},
-	}
-	for _, v := range variants {
-		name := v.kind
-		if v.cacheCap > 0 {
-			name += "+cache"
-		}
+	for _, kind := range []string{"uniform", "adaptive"} {
 		comp := compilersim.New("gcc", 14)
-		comp.EnableMutantCache(v.cacheCap)
-		// Self-guided μCFuzz streams: the paper's core fuzzer, and it
-		// compiles at fixed options, so duplicate mutants actually hit
-		// the cache (the macro fuzzer's random flag sampling would give
-		// every duplicate a distinct cache key).
+		// Self-guided μCFuzz streams: the paper's core fuzzer.
 		factory := func(stream int, rng *rand.Rand, _ fuzz.CoverageSink) engine.Worker {
-			mf := fuzz.NewMuCFuzz(fmt.Sprintf("bench-%s-%d", name, stream),
+			mf := fuzz.NewMuCFuzz(fmt.Sprintf("bench-%s-%d", kind, stream),
 				comp, muast.All(), pool, rng)
-			s, err := sched.New(v.kind, len(muast.All()))
+			s, err := sched.New(kind, len(muast.All()))
 			if err != nil {
 				panic(err)
 			}
@@ -113,16 +87,12 @@ func RunSchedBench(cfg Config) *SchedBenchResult {
 		parseHits1, _ := cast.ParseCacheStats()
 
 		st := c.MergedStats()
-		hits, _ := comp.CacheStats()
 		row := SchedBenchVariant{
-			Name:           name,
-			Sched:          v.kind,
-			CacheCap:       v.cacheCap,
+			Name:           kind,
+			Sched:          kind,
 			Ticks:          st.Ticks,
 			Edges:          st.Coverage.Count(),
 			Crashes:        st.UniqueCrashes(),
-			Compiles:       st.Ticks - int(hits),
-			CacheHits:      hits,
 			ParseCacheHits: parseHits1 - parseHits0,
 			Seconds:        secs,
 		}
@@ -140,14 +110,13 @@ func RunSchedBench(cfg Config) *SchedBenchResult {
 // Render prints the ablation as a table.
 func (r *SchedBenchResult) Render() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Scheduling/cache ablation: %d steps x %d streams, seed %d, %d-program pool\n",
+	fmt.Fprintf(&sb, "Scheduling ablation: %d steps x %d streams, seed %d, %d-program pool\n",
 		r.Steps, r.Streams, r.Seed, r.Pool)
-	fmt.Fprintf(&sb, "  %-16s %8s %8s %8s %12s %10s %10s %8s\n",
-		"variant", "ticks", "edges", "crashes", "edges/1kT", "compiles", "hits", "secs")
+	fmt.Fprintf(&sb, "  %-16s %8s %8s %8s %12s %8s\n",
+		"variant", "ticks", "edges", "crashes", "edges/1kT", "secs")
 	for _, v := range r.Variants {
-		fmt.Fprintf(&sb, "  %-16s %8d %8d %8d %12.1f %10d %10d %8.2f\n",
-			v.Name, v.Ticks, v.Edges, v.Crashes, v.EdgesPer1kTicks,
-			v.Compiles, v.CacheHits, v.Seconds)
+		fmt.Fprintf(&sb, "  %-16s %8d %8d %8d %12.1f %8.2f\n",
+			v.Name, v.Ticks, v.Edges, v.Crashes, v.EdgesPer1kTicks, v.Seconds)
 	}
 	return sb.String()
 }

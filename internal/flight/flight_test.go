@@ -267,18 +267,17 @@ func TestBenchBaseline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	blob := `{"variants":[
 		{"name":"uniform","sched":"uniform","edges_per_1k_ticks":1500.5},
-		{"name":"uniform+cache","sched":"uniform","edges_per_1k_ticks":1629.0},
+		{"name":"uniform-2","sched":"uniform","edges_per_1k_ticks":1629.0},
 		{"name":"adaptive","sched":"adaptive","edges_per_1k_ticks":1700.25}]}`
 	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := BenchBaseline(path, "uniform"); err != nil || got != 1629.0 {
-		t.Errorf("uniform baseline = %v, %v; want cache variant 1629.0", got, err)
+		t.Errorf("uniform baseline = %v, %v; want best uniform variant 1629.0", got, err)
 	}
 	if got, err := BenchBaseline(path, ""); err != nil || got != 1629.0 {
-		t.Errorf("empty kind baseline = %v, %v; want uniform+cache 1629.0", got, err)
+		t.Errorf("empty kind baseline = %v, %v; want best uniform variant 1629.0", got, err)
 	}
-	// No adaptive+cache variant: best bare adaptive match wins.
 	if got, err := BenchBaseline(path, "adaptive"); err != nil || got != 1700.25 {
 		t.Errorf("adaptive baseline = %v, %v; want 1700.25", got, err)
 	}

@@ -289,8 +289,7 @@ func (r *Recorder) anomalyLocked(epoch, stream int, kind string, data map[string
 
 // BenchBaseline extracts the committed throughput baseline
 // (edges per 1000 ticks) for a scheduler policy from a
-// BENCH_sched.json file, preferring the cache-enabled variant of the
-// policy, then the bare one.
+// BENCH_sched.json file: the best variant run with that policy.
 func BenchBaseline(path, schedKind string) (float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -298,7 +297,6 @@ func BenchBaseline(path, schedKind string) (float64, error) {
 	}
 	var bench struct {
 		Variants []struct {
-			Name       string  `json:"name"`
 			Sched      string  `json:"sched"`
 			EdgesPer1k float64 `json:"edges_per_1k_ticks"`
 		} `json:"variants"`
@@ -311,9 +309,6 @@ func BenchBaseline(path, schedKind string) (float64, error) {
 	}
 	best := -1.0
 	for _, v := range bench.Variants {
-		if v.Name == schedKind+"+cache" {
-			return v.EdgesPer1k, nil
-		}
 		if v.Sched == schedKind && v.EdgesPer1k > best {
 			best = v.EdgesPer1k
 		}

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/icsnju/metamut-go/internal/compilersim"
@@ -116,7 +117,7 @@ func TestCrashTimelineMonotonic(t *testing.T) {
 
 func TestMacroFuzzerHavocAndFlags(t *testing.T) {
 	comp := compilersim.New("gcc", 14)
-	shared := NewSharedCoverage()
+	shared := newTestSink()
 	var workers []*MacroFuzzer
 	for i := 0; i < 4; i++ {
 		workers = append(workers, NewMacroFuzzer("macro", comp, muast.All(),
@@ -148,7 +149,7 @@ func TestMacroResourceLimit(t *testing.T) {
 	cfg := DefaultMacroConfig()
 	cfg.MaxProgramSize = 64 // absurdly small: everything oversized
 	f := NewMacroFuzzer("macro", comp, muast.All(), testPool(t, 5),
-		rand.New(rand.NewSource(1)), NewSharedCoverage(), cfg)
+		rand.New(rand.NewSource(1)), newTestSink(), cfg)
 	for i := 0; i < 50; i++ {
 		f.Step()
 	}
@@ -158,6 +159,27 @@ func TestMacroResourceLimit(t *testing.T) {
 }
 
 func newEmptyCov() *cover.Map { return cover.NewMap() }
+
+// testSink is a standalone coverage sink for driving macro workers
+// outside the engine: one mutex around one map.
+type testSink struct {
+	mu  sync.Mutex
+	cov cover.Map
+}
+
+func newTestSink() *testSink { return &testSink{} }
+
+func (s *testSink) MergeIfNew(m *cover.Map) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cov.Merge(m) > 0
+}
+
+func (s *testSink) Count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cov.Count()
+}
 
 func TestStaticFilterSavesTicks(t *testing.T) {
 	comp := compilersim.New("gcc", 14)

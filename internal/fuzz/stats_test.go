@@ -47,32 +47,11 @@ func TestStatsRecordAccounting(t *testing.T) {
 	}
 }
 
-func TestSharedCoverageConcurrent(t *testing.T) {
-	shared := NewSharedCoverage()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 200; i++ {
-				m := cover.NewMap()
-				m.Set(rng.Uint32())
-				shared.MergeIfNew(m)
-			}
-		}(int64(w))
-	}
-	wg.Wait()
-	if shared.Count() == 0 {
-		t.Fatal("no edges merged")
-	}
-}
-
 func TestMacroFlagSampling(t *testing.T) {
 	comp := compilersim.New("gcc", 14)
 	cfg := DefaultMacroConfig()
 	f := NewMacroFuzzer("m", comp, muast.All(), seeds.Generate(10, 1),
-		rand.New(rand.NewSource(3)), NewSharedCoverage(), cfg)
+		rand.New(rand.NewSource(3)), newTestSink(), cfg)
 	levels := map[int]int{}
 	disabled := 0
 	for i := 0; i < 400; i++ {
@@ -91,7 +70,7 @@ func TestMacroFlagSampling(t *testing.T) {
 	// With sampling disabled, options are fixed.
 	cfg.SampleFlags = false
 	f2 := NewMacroFuzzer("m2", comp, muast.All(), seeds.Generate(10, 1),
-		rand.New(rand.NewSource(3)), NewSharedCoverage(), cfg)
+		rand.New(rand.NewSource(3)), newTestSink(), cfg)
 	for i := 0; i < 20; i++ {
 		o := f2.sampleOptions()
 		if o.OptLevel != 2 || len(o.DisabledPasses) != 0 {
@@ -266,7 +245,7 @@ func TestCorpusRoundTrip(t *testing.T) {
 	comp := compilersim.New("gcc", 14)
 	pool := seeds.Generate(5, 1)
 	f := NewMacroFuzzer("m", comp, muast.All(), pool,
-		rand.New(rand.NewSource(2)), NewSharedCoverage(), DefaultMacroConfig())
+		rand.New(rand.NewSource(2)), newTestSink(), DefaultMacroConfig())
 	got := f.Corpus()
 	if !reflect.DeepEqual(got, pool) {
 		t.Fatal("Corpus does not reflect the seed pool")
@@ -290,22 +269,20 @@ func TestCorpusRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSetCoverageSwapsSink(t *testing.T) {
+// TestMacroNilSinkDisablesAdmission: a macro worker built without a
+// coverage sink still fuzzes, but never admits a mutant to its pool.
+func TestMacroNilSinkDisablesAdmission(t *testing.T) {
 	comp := compilersim.New("gcc", 14)
-	shared := NewSharedCoverage()
-	f := NewMacroFuzzer("m", comp, muast.All(), seeds.Generate(5, 1),
-		rand.New(rand.NewSource(2)), shared, DefaultMacroConfig())
-	if f.Coverage() != CoverageSink(shared) {
-		t.Fatal("Coverage does not return the constructor sink")
-	}
-	repl := NewSharedCoverage()
-	f.SetCoverage(repl)
-	if f.Coverage() != CoverageSink(repl) {
-		t.Fatal("SetCoverage did not swap the sink")
-	}
-	// A nil sink disables pool admission but must not panic.
-	f.SetCoverage(nil)
+	pool := seeds.Generate(5, 1)
+	f := NewMacroFuzzer("m", comp, muast.All(), pool,
+		rand.New(rand.NewSource(2)), nil, DefaultMacroConfig())
 	for i := 0; i < 30; i++ {
 		f.Step()
+	}
+	if f.Stats().Total == 0 {
+		t.Fatal("nil-sink worker compiled nothing")
+	}
+	if f.PoolSize() != len(pool) {
+		t.Errorf("nil-sink worker admitted mutants: pool %d, want %d", f.PoolSize(), len(pool))
 	}
 }

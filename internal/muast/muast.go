@@ -83,7 +83,7 @@ func NewManagerFromTU(tu *cast.TranslationUnit, rng *rand.Rand) *Manager {
 
 // Reset discards recorded edits and restores the fuel budget, name
 // sequence and identifier set, making the manager equivalent to a
-// freshly constructed one over the same translation unit. Batched
+// freshly constructed one over the same translation unit. The
 // fuzzers reuse one manager across the mutants of a step instead of
 // allocating a rewriter per try. The parent map is a pure cache of the
 // immutable TU and survives; the idents map does NOT — generated names

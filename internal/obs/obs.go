@@ -45,9 +45,7 @@
 //
 // The adaptive scheduler (internal/sched) adds
 // sched_picks_total{mutator} (arm selections) and
-// sched_weight{mutator} (posterior mean reward in milli-units), and
-// the compiler simulator's mutant dedup cache adds
-// mutant_cache_hits_total (compilations answered from cache).
+// sched_weight{mutator} (posterior mean reward in milli-units).
 //
 // The complete catalogue, with units and emitting packages, lives in
 // docs/METRICS.md; a test diffs that file against a fully-exercised

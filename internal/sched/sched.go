@@ -118,13 +118,6 @@ type Scheduler interface {
 	Pick(rng *rand.Rand, allowed func(int) bool) int
 	// Observe books one mutant outcome against an arm.
 	Observe(arm int, r Reward)
-	// ObserveBatch books a run of outcomes for one arm, in order. It is
-	// exactly equivalent to calling Observe once per reward in slice
-	// order — batched fuzzers buffer rewards during a step and flush
-	// them here, and the replay-in-order contract keeps the posterior
-	// (including float reward sums) bit-identical to unbatched
-	// operation.
-	ObserveBatch(arm int, rs []Reward)
 	// State serializes the complete posterior for checkpointing.
 	State() *State
 	// Restore replaces the posterior from a checkpoint; it rejects a
@@ -228,14 +221,6 @@ func (u *Uniform) Observe(arm int, r Reward) {
 	}
 	if u.obsFn != nil {
 		u.obsFn(arm, r)
-	}
-}
-
-// ObserveBatch books a run of outcomes for one arm, equivalent to
-// calling Observe once per reward in order.
-func (u *Uniform) ObserveBatch(arm int, rs []Reward) {
-	for _, r := range rs {
-		u.Observe(arm, r)
 	}
 }
 
@@ -385,18 +370,6 @@ func (a *Adaptive) Observe(arm int, r Reward) {
 	}
 	if a.obsFn != nil {
 		a.obsFn(arm, r)
-	}
-}
-
-// ObserveBatch books a run of outcomes for one arm by replaying the
-// exact per-observe update (tick, pick count, float reward sum,
-// telemetry, tap) once per reward in slice order. The replay — rather
-// than a folded sum — keeps the posterior bit-identical to unbatched
-// operation: float addition is not associative, so summing first would
-// drift the reward accumulator.
-func (a *Adaptive) ObserveBatch(arm int, rs []Reward) {
-	for _, r := range rs {
-		a.Observe(arm, r)
 	}
 }
 

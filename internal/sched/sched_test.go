@@ -219,83 +219,3 @@ func TestInstrumentCountsPicksAndWeights(t *testing.T) {
 		t.Fatal("sched_weight{m0} not exported")
 	}
 }
-
-// TestObserveBatchEqualsObserveReplay pins the batching contract for
-// both policies: feeding a reward sequence through ObserveBatch in
-// contiguous same-arm runs must leave the scheduler in exactly the
-// state a per-reward Observe loop produces — identical serialized
-// posterior AND identical future ranking decisions. The equality is
-// exact (not approximate) because ObserveBatch is defined as in-order
-// replay, never as a folded sum: float addition is not associative, so
-// any "optimized" accumulation would drift the posterior.
-func TestObserveBatchEqualsObserveReplay(t *testing.T) {
-	build := func(kind string) Scheduler {
-		s, err := New(kind, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	// A reward tape with contiguous same-arm runs, mixed outcomes, and
-	// enough volume for rounding drift to surface if replay ever turns
-	// into summation.
-	type obsEv struct {
-		arm int
-		r   Reward
-	}
-	rng := rand.New(rand.NewSource(42))
-	var tape []obsEv
-	for len(tape) < 4000 {
-		arm := rng.Intn(6)
-		run := 1 + rng.Intn(9)
-		for i := 0; i < run; i++ {
-			tape = append(tape, obsEv{arm, Reward{
-				NewCoverage:  rng.Intn(3) == 0,
-				Crash:        rng.Intn(50) == 0,
-				CompileError: rng.Intn(2) == 0,
-				Fault:        rng.Intn(100) == 0,
-			}})
-		}
-	}
-	for _, kind := range []string{"uniform", "adaptive"} {
-		single, batched := build(kind), build(kind)
-		for _, ev := range tape {
-			single.Observe(ev.arm, ev.r)
-		}
-		var run []Reward
-		for i := 0; i < len(tape); {
-			j := i + 1
-			for j < len(tape) && tape[j].arm == tape[i].arm {
-				j++
-			}
-			run = run[:0]
-			for _, ev := range tape[i:j] {
-				run = append(run, ev.r)
-			}
-			batched.ObserveBatch(tape[i].arm, run)
-			i = j
-		}
-		ss, err := json.Marshal(single.State())
-		if err != nil {
-			t.Fatal(err)
-		}
-		bs, err := json.Marshal(batched.State())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(ss) != string(bs) {
-			t.Errorf("%s: batched posterior diverged from per-reward replay\n single %s\nbatched %s",
-				kind, ss, bs)
-		}
-		// The posteriors agree; so must every decision derived from them.
-		r1, r2 := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
-		for i := 0; i < 50; i++ {
-			if a, b := single.Pick(r1, nil), batched.Pick(r2, nil); a != b {
-				t.Fatalf("%s: pick %d diverged after batch replay: %d vs %d", kind, i, a, b)
-			}
-			if a, b := single.Order(r1, nil), batched.Order(r2, nil); !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s: order %d diverged after batch replay: %v vs %v", kind, i, a, b)
-			}
-		}
-	}
-}

@@ -269,7 +269,6 @@ func (d *Daemon) buildRuntime(rec *JobRecord) (*job, error) {
 	flight.RegisterMetrics(reg)
 	comp := compilersim.New(spec.Compiler, version)
 	comp.Instrument(reg)
-	comp.EnableMutantCache(4096)
 
 	var mutators []*muast.Mutator
 	switch spec.MutatorSet {

@@ -1,13 +1,20 @@
 package serve
 
 import (
+	"context"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"github.com/icsnju/metamut-go/internal/compilersim"
 	"github.com/icsnju/metamut-go/internal/engine"
+	"github.com/icsnju/metamut-go/internal/fuzz"
+	"github.com/icsnju/metamut-go/internal/muast"
+	"github.com/icsnju/metamut-go/internal/sched"
+	"github.com/icsnju/metamut-go/internal/seeds"
 )
 
 // testSpec is a small but real campaign: 2 streams × 8 steps/epoch, so
@@ -188,6 +195,56 @@ func TestDaemonFleetSizeInvariant(t *testing.T) {
 			ra.Done != rb.Done || ra.Edges != rb.Edges || ra.Crashes != rb.Crashes {
 			t.Errorf("job %s results depend on fleet size", id)
 		}
+	}
+}
+
+// TestDaemonJobMatchesEngine pins the daemon's campaign to the engine:
+// one job run by the daemon (with its telemetry, flight journal,
+// checkpoints and preemption slices) must report the steps, edges and
+// crashes that the same macro-fuzzer campaign computes when built
+// directly on engine.New.
+func TestDaemonJobMatchesEngine(t *testing.T) {
+	spec := testSpec("alpha", 11, 96)
+	dir := t.TempDir()
+	d := newTestDaemon(t, dir, 2)
+	id, err := d.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go d.Run()
+	rec := waitJobs(t, d, []string{id})[id]
+	d.Stop()
+	if rec.State != Done {
+		t.Fatalf("job %s ended %s (%s), want DONE", id, rec.State, rec.Error)
+	}
+
+	comp := compilersim.New("gcc", 14)
+	mutators := muast.BySet(muast.Supervised)
+	pool := seeds.Generate(spec.SeedCount, spec.Seed)
+	mcfg := fuzz.DefaultMacroConfig()
+	mcfg.StaticFilter = !spec.NoStatic
+	c := engine.New(engine.Config{
+		Streams: spec.Streams, StepsPerEpoch: spec.StepsPerEpoch,
+		TotalSteps: spec.Steps, Seed: spec.Seed,
+	}, func(stream int, rng *rand.Rand, cov fuzz.CoverageSink) engine.Worker {
+		w := fuzz.NewMacroFuzzer("ref", comp, mutators, pool, rng, cov, mcfg)
+		s, err := sched.New(spec.Sched, len(mutators))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Sched = s
+		return w
+	})
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := c.MergedStats()
+	if rec.Done != c.Done() || rec.Edges != st.Coverage.Count() || rec.Crashes != len(st.Crashes) {
+		t.Errorf("daemon job: %d steps, %d edges, %d crashes; engine.New: %d, %d, %d",
+			rec.Done, rec.Edges, rec.Crashes, c.Done(), st.Coverage.Count(), len(st.Crashes))
+	}
+	if rec.Edges == 0 {
+		t.Error("daemon job covered no edges")
 	}
 }
 

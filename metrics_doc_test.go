@@ -64,7 +64,6 @@ func liveFamilies(t *testing.T) map[string]bool {
 
 	comp := compilersim.New("gcc", 14)
 	comp.Instrument(reg)
-	comp.EnableMutantCache(16)
 
 	// A miniature adaptive campaign registers the fuzz and engine
 	// families exactly as cmd/mucfuzz does.
