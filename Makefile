@@ -2,16 +2,16 @@
 
 GO ?= go
 
-.PHONY: check lint build vet staticcheck detlint test race bench bench-json \
-	bench-smoke bench-gate maybe-bench-gate loc campaign-smoke chaos-smoke \
+.PHONY: check lint build vet staticcheck detlint test race fuzz-smoke bench \
+	bench-json bench-smoke bench-gate maybe-bench-gate loc campaign-smoke chaos-smoke \
 	flight-smoke serve-smoke chaos-serve-smoke clean
 
 # check is the one-stop gate: lint (vet + detlint, + staticcheck when
 # installed), build, full test suite, the race-detector pass over the
-# concurrency-bearing packages, then a one-epoch scheduling-ablation
-# smoke. Set BENCH_GATE=1 to also run the full performance gate
+# concurrency-bearing packages, a few seconds of each native fuzz
+# target, then a one-epoch scheduling-ablation smoke. Set BENCH_GATE=1 to also run the full performance gate
 # (bench-gate, several minutes — see docs/PERFORMANCE.md).
-check: lint build test race bench-smoke maybe-bench-gate
+check: lint build test race fuzz-smoke bench-smoke maybe-bench-gate
 
 # lint bundles every static gate: go vet, the repo's own invariant
 # linter (docs/STATIC_ANALYSIS.md), and staticcheck when present.
@@ -54,6 +54,20 @@ race:
 		./internal/engine ./internal/resil ./internal/resil/chaos \
 		./internal/sched ./internal/flight ./internal/detlint \
 		./internal/serve ./internal/serve/heal
+
+# fuzz-smoke runs each native fuzz target (package:target) for about
+# 5 s past its committed seed corpus; go test fuzzes one target per
+# run. A failing input is written under the package's testdata/fuzz:
+# commit it with the fix as a regression seed.
+FUZZ_TARGETS = ./internal/mutcheck:FuzzMutantValidator \
+	./internal/mutcheck:FuzzCheckMatchesReject
+
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz-smoke: $$fn"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime 5s $$pkg; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem .

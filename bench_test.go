@@ -24,7 +24,6 @@ import (
 	"github.com/icsnju/metamut-go/internal/llm"
 	"github.com/icsnju/metamut-go/internal/muast"
 	_ "github.com/icsnju/metamut-go/internal/mutators"
-	"github.com/icsnju/metamut-go/internal/mutcheck"
 	"github.com/icsnju/metamut-go/internal/mutdsl"
 	"github.com/icsnju/metamut-go/internal/obs"
 	"github.com/icsnju/metamut-go/internal/seeds"
@@ -351,18 +350,35 @@ func benchRecord(b *testing.B, instrumented bool) {
 }
 
 // BenchmarkStaticRejectPath / BenchmarkCompilersimRejectPath price the
-// two ways of discarding the same invalid mutant: the mutcheck front-end
-// analysis versus a full simulated compiler tick (lexing, coverage walk,
-// bug checks). Their gap is the saving μCFuzz's pre-compile filter banks
-// on every statically-rejected mutant.
+// two ways of discarding the same invalid mutant: the static filter
+// (the fuzzing stream's Context.Check) versus a full owned compile
+// (front end, bug checks, result clone). Their gap is the saving the
+// fuzzers' pre-compile filter banks on every statically-rejected mutant.
 func BenchmarkStaticRejectPath(b *testing.B) {
 	src := badMutant(b)
+	cx := compilersim.New("gcc", 14).NewContext()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, rejected := mutcheck.Reject(src); !rejected {
+		if cx.Check(src) == nil {
 			b.Fatal("mutant unexpectedly accepted")
 		}
+	}
+}
+
+// TestStaticRejectAllocBudget is the allocation gate for the filter's
+// reject path: rejecting the canonical bad mutant on a warm context
+// allocates only the error and its diagnostic, never a tree.
+func TestStaticRejectAllocBudget(t *testing.T) {
+	src := badMutant(t)
+	cx := compilersim.New("gcc", 14).NewContext()
+	var err error
+	avg := testing.AllocsPerRun(200, func() { err = cx.Check(src) })
+	if err == nil {
+		t.Fatal("mutant unexpectedly accepted")
+	}
+	if avg > 8 {
+		t.Fatalf("static reject allocates %.1f allocs/mutant, budget 8 (see docs/PERFORMANCE.md)", avg)
 	}
 }
 
@@ -381,7 +397,7 @@ func BenchmarkCompilersimRejectPath(b *testing.B) {
 // badMutant produces the canonical invalid mutant: a BadMutantBug
 // rewrite (off-by-one source range eating an adjacent token) applied to
 // a seed program.
-func badMutant(b *testing.B) string {
+func badMutant(b testing.TB) string {
 	b.Helper()
 	prog := &mutdsl.Program{Name: "BenchBad", Description: "d",
 		TargetKind:   cast.KindBinaryOperator,
@@ -451,7 +467,8 @@ func hotLoopSeeds(tb testing.TB, comp *compilersim.Compiler, opts compilersim.Op
 }
 
 // BenchmarkHotLoop times the steady-state inner loop the fuzzers run per
-// tick — Context.Compile into Stats.Record — over a warm seed pool. The
+// tick — Context.Check (the static filter), CompileChecked, then
+// Stats.Record — over a warm seed pool. The
 // Context reuses its arena, tracers, and token buffer, and Record's
 // first-merge coverage work is absorbed by the warm-up, so the loop must
 // report 0 allocs/op (TestHotLoopAllocBudget enforces the same budget in
@@ -463,14 +480,22 @@ func BenchmarkHotLoop(b *testing.B) {
 	cx := comp.NewContext()
 	s := fuzz.NewStats("hotloop")
 	for _, src := range pool { // absorb first-merge coverage + crash-map work
-		s.Record(src, "HotLoopBench", cx.Compile(src, opts))
+		hotTick(cx, s, src, opts)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := pool[i%len(pool)]
-		s.Record(src, "HotLoopBench", cx.Compile(src, opts))
+		hotTick(cx, s, pool[i%len(pool)], opts)
 	}
+}
+
+// hotTick is one steady-state fuzzer tick on an accepted program:
+// filter, compile, record.
+func hotTick(cx *compilersim.Context, s *fuzz.Stats, src string, opts compilersim.Options) {
+	if cx.Check(src) != nil {
+		panic("hot-loop seed rejected by the front end")
+	}
+	s.Record(src, "HotLoopBench", cx.CompileChecked(opts))
 }
 
 // TestHotLoopAllocBudget is the always-on allocation gate for the hot
@@ -486,12 +511,11 @@ func TestHotLoopAllocBudget(t *testing.T) {
 	cx := comp.NewContext()
 	s := fuzz.NewStats("hotloop-alloc")
 	for _, src := range pool {
-		s.Record(src, "HotLoopBench", cx.Compile(src, opts))
+		hotTick(cx, s, src, opts)
 	}
 	i := 0
 	avg := testing.AllocsPerRun(200, func() {
-		src := pool[i%len(pool)]
-		s.Record(src, "HotLoopBench", cx.Compile(src, opts))
+		hotTick(cx, s, pool[i%len(pool)], opts)
 		i++
 	})
 	if avg >= 1 {

@@ -19,8 +19,7 @@ package cast
 //   - An Arena is not safe for concurrent use. One arena per stream —
 //     the same discipline as the stream RNG and the scheduler posterior.
 //   - Parse/ParseAndCheck (no arena argument) allocate a private arena
-//     that is never reset, so their TUs remain safe to retain and share
-//     (the parse cache depends on this).
+//     that is never reset, so their TUs remain safe to retain and share.
 type Arena struct {
 	// Node slabs, one per concrete AST node type.
 	translationUnits slab[TranslationUnit]

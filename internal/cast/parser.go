@@ -53,7 +53,7 @@ var parserPool = sync.Pool{New: func() any { return &Parser{} }}
 // Parse lexes and parses src, returning the AST. Parsing is
 // best-effort-strict: any syntax error aborts with a non-nil error.
 // The returned unit owns a private arena that is never reset, so it is
-// safe to retain and share (the parse cache depends on this).
+// safe to retain and share.
 func Parse(src string) (*TranslationUnit, error) {
 	return ParseWithArena(src, NewArena())
 }

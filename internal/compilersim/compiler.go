@@ -158,7 +158,8 @@ func (t *compilerTelemetry) record(c *Compiler, res Result) {
 // hold a Context and call Context.Compile instead.
 func (c *Compiler) Compile(src string, opts Options) Result {
 	cx := c.ctxs.Get().(*Context)
-	res := cloneResult(cx.compile(src, opts))
+	cx.Check(src)
+	res := cloneResult(cx.compileChecked(opts))
 	c.ctxs.Put(cx)
 	if t := c.tele; t != nil {
 		t.record(c, res)

@@ -17,12 +17,12 @@ import (
 //
 //   - A Context is NOT safe for concurrent use. One context per stream,
 //     the same discipline as the stream RNG.
-//   - Results returned by Context.Compile are BORROWED: Coverage, Feats,
-//     Diagnostics and Object alias context-owned storage and are valid
-//     only until the next Compile on the same context. Callers that
-//     retain anything (corpus admission, crash reports) must copy what
-//     they keep — coverage is typically merged immediately, which is a
-//     copy by construction.
+//   - Results returned by Compile and CompileChecked are BORROWED:
+//     Coverage, Feats, Diagnostics and Object alias context-owned
+//     storage and are valid only until the next Check (or Compile) on
+//     the same context. Callers that retain anything (corpus
+//     admission, crash reports) must copy what they keep — coverage is
+//     typically merged immediately, which is a copy by construction.
 //   - Compiler.Compile keeps its owning contract: it compiles through a
 //     pooled context and deep-clones the result before returning it.
 type Context struct {
@@ -45,6 +45,10 @@ type Context struct {
 	o     optimizer
 	be    codegen
 
+	// tu is the arena-owned tree of the last Check, nil unless that
+	// Check accepted its program.
+	tu *cast.TranslationUnit
+
 	// Enabled-pass memo, keyed by the last Options seen.
 	passLevel    int
 	passDisabled []string
@@ -65,34 +69,37 @@ func (c *Compiler) NewContext() *Context {
 	return cx
 }
 
-// Compile runs the full pipeline on src through this context. The
-// result is borrowed (valid until the next Compile on this context).
+// Compile runs the full pipeline on src through this context: Check,
+// then CompileChecked. The result is borrowed.
 func (cx *Context) Compile(src string, opts Options) Result {
-	res := cx.compile(src, opts)
-	if t := cx.c.tele; t != nil {
-		t.record(cx.c, res)
-	}
-	return res
+	cx.Check(src)
+	return cx.CompileChecked(opts)
 }
 
-// compile is the uninstrumented pipeline over reused context state.
-func (cx *Context) compile(src string, opts Options) Result {
+// Check runs the front end on src: one lex serves both the lexical
+// coverage walk and the parser, then the arena parse, the parse-tree
+// coverage walk and sema. It returns the lex or parse error, the
+// cast.SemaErrors, or nil when src is a valid program — the same
+// verdict as cast.Parse + cast.Check, which is what makes Check the
+// fuzzers' static filter. The checked tree lives in the context's
+// arena until the next Check. Follow Check with CompileChecked to
+// finish the compile; a filtered-out mutant simply never does.
+func (cx *Context) Check(src string) error {
 	c := cx.c
 	cx.cov.Reset()
 	clear(cx.feats)
 	cx.diags = cx.diags[:0]
 	diags := cx.diags
 	covMap := &cx.cov
-	feats := cx.feats
-	cx.tc = TriggerCtx{Source: src, Feats: feats, OptLevel: opts.OptLevel}
+	cx.tc = TriggerCtx{Source: src, Feats: cx.feats}
 	tc := &cx.tc
+	cx.tu = nil
 
-	// ---- Front-end: one lex serves both the lexical coverage walk and
-	// the parser (runs even for garbage input — token-kind edges are the
-	// coverage a byte-level fuzzer climbs with invalid inputs). Coverage
-	// is capped at the first 200000 tokens, exactly like the standalone
-	// token walk it replaces; lexing itself continues so the parser sees
-	// the full stream.
+	// Lexical coverage runs even for garbage input — token-kind edges
+	// are the coverage a byte-level fuzzer climbs with invalid inputs.
+	// It is capped at the first 200000 tokens, exactly like the
+	// standalone token walk it replaces; lexing itself continues so the
+	// parser sees the full stream.
 	cx.feTr.ResetTo(covMap, c.feSeed)
 	feTrace := &cx.feTr
 	cx.lx.Reset(src)
@@ -121,20 +128,18 @@ func (cx *Context) compile(src string, opts Options) Result {
 	cx.toks = toks
 
 	var tu *cast.TranslationUnit
-	var perr error
-	if lexErr != nil {
-		perr = lexErr
-	} else {
+	err := lexErr
+	if err == nil {
 		cx.arena.Reset()
-		tu, perr = cast.ParseTokens(src, toks, cx.arena)
+		tu, err = cast.ParseTokens(src, toks, cx.arena)
 	}
-	tc.ParseOK = perr == nil
-	if perr != nil {
-		diags = append(diags, perr.Error())
+	tc.ParseOK = err == nil
+	if err != nil {
+		diags = append(diags, err.Error())
 		// Error recovery is code too: distinct syntactic failure points
 		// exercise distinct diagnostic paths — the coverage a byte-level
 		// fuzzer climbs.
-		if pe, ok := perr.(*cast.ParseError); ok {
+		if pe, ok := err.(*cast.ParseError); ok {
 			feTrace.HitN("parse.error", pe.Line%53)
 			feTrace.HitStr("parse.msg." + diagClass(pe.Msg))
 		} else {
@@ -146,27 +151,49 @@ func (cx *Context) compile(src string, opts Options) Result {
 			feTrace.Hit(astSiteHash[n.Kind()])
 			return true
 		})
-		if cerr := cast.Check(tu); cerr != nil {
-			tc.CheckOK = false
-			if se, ok := cerr.(cast.SemaErrors); ok {
+		if err = cast.Check(tu); err != nil {
+			if se, ok := err.(cast.SemaErrors); ok {
 				for _, e := range se {
 					diags = append(diags, e.Error())
 					feTrace.HitN("sema."+diagClass(e.Msg), e.Offset%41)
 				}
 			} else {
-				diags = append(diags, cerr.Error())
+				diags = append(diags, err.Error())
 			}
 		} else {
 			tc.CheckOK = true
+			cx.tu = tu
 		}
 	}
 	cx.diags = diags
+	return err
+}
+
+// CompileChecked finishes the compile the last Check on this context
+// started: the front-end defect checks, IR generation, the optimizer
+// and the back-end under opts. A program Check rejected still runs the
+// front-end defect checks (error-recovery paths crash too) and yields
+// the reject Result. The result is borrowed, like Compile's.
+func (cx *Context) CompileChecked(opts Options) Result {
+	res := cx.compileChecked(opts)
+	if t := cx.c.tele; t != nil {
+		t.record(cx.c, res)
+	}
+	return res
+}
+
+// compileChecked is the uninstrumented back half of the pipeline.
+func (cx *Context) compileChecked(opts Options) Result {
+	c := cx.c
+	covMap, feats, diags := &cx.cov, cx.feats, cx.diags
+	tc := &cx.tc
+	tc.OptLevel = opts.OptLevel
 
 	// Front-end defects can fire on any input (error-recovery paths).
 	if crash := c.checkBugs(tc, FrontEnd); crash != nil {
 		return c.crashResult(crash, covMap, feats, diags)
 	}
-	if !tc.ParseOK || !tc.CheckOK {
+	if cx.tu == nil {
 		return Result{OK: false, Diagnostics: diags, Coverage: covMap, Feats: feats}
 	}
 
@@ -174,7 +201,7 @@ func (cx *Context) compile(src string, opts Options) Result {
 	cx.irTr.ResetTo(covMap, c.irSeed)
 	cx.g.trace = &cx.irTr
 	cx.g.feats = feats
-	prog := cx.g.generate(tu)
+	prog := cx.g.generate(cx.tu)
 	if crash := c.checkBugs(tc, IRGen); crash != nil {
 		return c.crashResult(crash, covMap, feats, diags)
 	}

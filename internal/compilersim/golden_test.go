@@ -81,10 +81,11 @@ func resultDigest(r Result) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestCompileGoldenDigest checks both compile entry points against the
+// TestCompileGoldenDigest checks every compile entry point against the
 // committed digest: every seed program (and the damaged variants that
 // reach the lexer, parser and sema error paths) under gcc 14 and
-// clang 18 at -O0..-O3. Context.Compile runs through one reused
+// clang 18 at -O0..-O3. Context.Compile and the staged Check +
+// CompileChecked sequence the fuzzers run each go through one reused
 // context per compiler, so state leaking between programs shows up as
 // a digest mismatch. A missing digest file is written from the current
 // code and the test fails, so a regenerated reference is always
@@ -97,7 +98,7 @@ func TestCompileGoldenDigest(t *testing.T) {
 		version int
 	}{{"gcc", 14}, {"clang", 18}} {
 		comp := New(prof.name, prof.version)
-		cx := comp.NewContext()
+		cx, staged := comp.NewContext(), comp.NewContext()
 		for level := 0; level <= 3; level++ {
 			opts := Options{OptLevel: level}
 			for i, src := range contextCorpus() {
@@ -106,6 +107,10 @@ func TestCompileGoldenDigest(t *testing.T) {
 				want := resultDigest(owned)
 				if got := resultDigest(cx.Compile(src, opts)); got != want {
 					t.Errorf("%s: Context.Compile digest %s differs from Compiler.Compile %s", key, got, want)
+				}
+				staged.Check(src)
+				if got := resultDigest(staged.CompileChecked(opts)); got != want {
+					t.Errorf("%s: Check + CompileChecked digest %s differs from Compiler.Compile %s", key, got, want)
 				}
 				if owned.Crash != nil {
 					crashes++

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/icsnju/metamut-go/internal/cast"
 	"github.com/icsnju/metamut-go/internal/compilersim"
 	"github.com/icsnju/metamut-go/internal/engine"
 	"github.com/icsnju/metamut-go/internal/fuzz"
@@ -31,7 +30,6 @@ type SchedBenchVariant struct {
 	Edges           int     `json:"edges"`
 	Crashes         int     `json:"crashes"`
 	EdgesPer1kTicks float64 `json:"edges_per_1k_ticks"`
-	ParseCacheHits  int64   `json:"parse_cache_hits"`
 	Seconds         float64 `json:"seconds"`
 	EdgesPerSec     float64 `json:"edges_per_sec"`
 }
@@ -77,24 +75,21 @@ func RunSchedBench(cfg Config) *SchedBenchResult {
 			Seed:       cfg.Seed,
 			Registry:   cfg.Obs,
 		}
-		parseHits0, _ := cast.ParseCacheStats()
 		start := time.Now()
 		c := engine.New(ecfg, factory)
 		if err := c.Run(context.Background()); err != nil {
 			panic(err) // no checkpointing or cancellation in the bench
 		}
 		secs := time.Since(start).Seconds()
-		parseHits1, _ := cast.ParseCacheStats()
 
 		st := c.MergedStats()
 		row := SchedBenchVariant{
-			Name:           kind,
-			Sched:          kind,
-			Ticks:          st.Ticks,
-			Edges:          st.Coverage.Count(),
-			Crashes:        st.UniqueCrashes(),
-			ParseCacheHits: parseHits1 - parseHits0,
-			Seconds:        secs,
+			Name:    kind,
+			Sched:   kind,
+			Ticks:   st.Ticks,
+			Edges:   st.Coverage.Count(),
+			Crashes: st.UniqueCrashes(),
+			Seconds: secs,
 		}
 		if st.Ticks > 0 {
 			row.EdgesPer1kTicks = 1000 * float64(row.Edges) / float64(st.Ticks)

@@ -37,9 +37,9 @@ type Stats struct {
 	// Total and Compilable mutant counts (Table 5).
 	Total      int
 	Compilable int
-	// StaticRejects counts mutants the mutcheck front-end analysis
-	// discarded before they consumed a compiler tick (subset of
-	// Total - Compilable).
+	// StaticRejects counts mutants the static filter (the compile
+	// context's front end) discarded before they consumed a compiler
+	// tick (subset of Total - Compilable).
 	StaticRejects int
 	// Ticks consumed so far.
 	Ticks int
@@ -143,7 +143,7 @@ func (s *Stats) Record(src, via string, res compilersim.Result) bool {
 	return isNew
 }
 
-// RecordStaticReject books one mutant the static analysis discarded
+// RecordStaticReject books one mutant the static filter discarded
 // before compilation. The mutant counts toward Total (it was produced)
 // but consumes no compiler tick — that is the saving being measured.
 func (s *Stats) RecordStaticReject(via, check string) {
@@ -274,35 +274,27 @@ func safeApply(mu *muast.Mutator, src string, mgr *muast.Manager) (mutant string
 	return
 }
 
-// uncheckedRewrite performs a completely unvalidated expression-over-
-// expression splice on src. ok is false when src has no two expressions
-// to splice.
-func uncheckedRewrite(src string, rng *rand.Rand) (string, bool) {
-	mgr, err := muast.NewManager(src, rng)
-	if err != nil {
-		return "", false
-	}
-	return spliceWith(mgr, rng)
-}
-
-// uncheckedRewriteArena is uncheckedRewrite over a caller-owned AST
-// arena. Splice inputs are freshly minted mutant strings, so routing
-// them through the global parse cache is all misses and pure pollution;
-// an arena parse costs zero steady-state allocations instead. The
-// manager and every node it hands out die before this returns, which is
-// what makes borrowing from the arena safe — only the rewritten string
-// (owned) escapes.
-func uncheckedRewriteArena(src string, rng *rand.Rand, arena *cast.Arena) (string, bool) {
+// arenaManager parses and checks src into arena, reset first, and wraps
+// the tree in a mutation manager. The manager borrows the arena: it and
+// every node it hands out are valid only until the arena's next reset,
+// so only the strings it produces (owned) may outlive that.
+func arenaManager(src string, rng *rand.Rand, arena *cast.Arena) (*muast.Manager, error) {
 	arena.Reset()
 	tu, err := cast.ParseAndCheckArena(src, arena)
 	if err != nil {
-		return "", false
+		return nil, err
 	}
-	return spliceWith(muast.NewManagerFromTU(tu, rng), rng)
+	return muast.NewManagerFromTU(tu, rng), nil
 }
 
-// spliceWith draws the expression pair and performs the splice.
-func spliceWith(mgr *muast.Manager, rng *rand.Rand) (string, bool) {
+// uncheckedRewrite performs a completely unvalidated expression-over-
+// expression splice on src, parsed into the caller-owned arena. ok is
+// false when src has no two distinct expressions to splice.
+func uncheckedRewrite(src string, rng *rand.Rand, arena *cast.Arena) (string, bool) {
+	mgr, err := arenaManager(src, rng, arena)
+	if err != nil {
+		return "", false
+	}
 	exprs := mgr.Exprs(nil, nil)
 	if len(exprs) < 2 {
 		return "", false
@@ -324,6 +316,104 @@ func spliceWith(mgr *muast.Manager, rng *rand.Rand) (string, bool) {
 }
 
 // ---------------------------------------------------------------------
+// Per-stream state
+// ---------------------------------------------------------------------
+
+// stream is what each fuzzer owns per fuzzing stream: the mutator
+// arsenal and program pool, the stream RNG, the accounting, the compile
+// context, the parse arenas, the quarantine and the scheduler. Both
+// fuzzers embed it, so its exported fields and methods are theirs.
+type stream struct {
+	mutators []*muast.Mutator
+	pool     []string
+	rng      *rand.Rand
+	stats    *Stats
+	// cx compiles every mutant, and its front end (Check) is the
+	// static filter: each mutant is lexed, parsed and checked once.
+	cx *compilersim.Context
+	// parseArena backs the checked parse of the program the mutators
+	// run on; spliceArena backs the unchecked rewrite's parse. μCFuzz's
+	// step manager outlives the splices of its tries, so the two cannot
+	// share an arena.
+	parseArena  *cast.Arena
+	spliceArena *cast.Arena
+	// Quarantine benches mutators that keep panicking or exhausting
+	// their fuel budget (strike/parole discipline). Per-instance and
+	// tick-driven, so it never perturbs the deterministic schedule.
+	Quarantine *resil.Quarantine
+	// Sched ranks the mutators: μCFuzz's try order each step, the macro
+	// fuzzer's pick each havoc round. The default Uniform policy
+	// reproduces the legacy stream-RNG draws bit-for-bit; swap in
+	// sched.NewAdaptive for bandit-weighted selection. Arms index into
+	// the mutator slice in constructor order.
+	Sched sched.Scheduler
+
+	allowedFn func(int) bool
+	// flight, when attached, journals crashes, pool admissions,
+	// rewards, and quarantine churn (see AttachFlight).
+	flight FlightEmitter
+}
+
+// init fills a stream in place (allowedFn binds to its final address).
+func (s *stream) init(name string, comp *compilersim.Compiler,
+	mutators []*muast.Mutator, seedPool []string, rng *rand.Rand) {
+	s.mutators = mutators
+	s.SetCorpus(seedPool)
+	s.rng = rng
+	s.stats = NewStats(name)
+	s.cx = comp.NewContext()
+	s.parseArena = cast.NewArena()
+	s.spliceArena = cast.NewArena()
+	s.Quarantine = resil.NewQuarantine(DefaultQuarantine(), nil)
+	s.Sched = sched.NewUniform(len(mutators))
+	s.allowedFn = s.armAllowed
+}
+
+// armAllowed reports whether the arm's mutator is off the quarantine
+// bench — the filter handed to the scheduler.
+func (s *stream) armAllowed(i int) bool {
+	return s.Quarantine.Allowed(s.mutators[i].Name)
+}
+
+// Name returns the fuzzer's display name.
+func (s *stream) Name() string { return s.stats.Name }
+
+// Stats exposes the accounting.
+func (s *stream) Stats() *Stats { return s.stats }
+
+// PoolSize returns the current program-pool size.
+func (s *stream) PoolSize() int { return len(s.pool) }
+
+// Corpus returns a copy of the current program pool (checkpointing).
+func (s *stream) Corpus() []string {
+	out := make([]string, len(s.pool))
+	copy(out, s.pool)
+	return out
+}
+
+// SetCorpus replaces the program pool (checkpoint restore).
+func (s *stream) SetCorpus(pool []string) {
+	s.pool = make([]string, len(pool))
+	copy(s.pool, pool)
+}
+
+// SchedState serializes the scheduler posterior (checkpointing).
+func (s *stream) SchedState() *sched.State { return s.Sched.State() }
+
+// SetSchedState restores the scheduler posterior (checkpoint resume).
+func (s *stream) SetSchedState(st *sched.State) error { return s.Sched.Restore(st) }
+
+// InstrumentSched attaches per-mutator scheduler telemetry
+// (sched_picks_total, sched_weight).
+func (s *stream) InstrumentSched(reg *obs.Registry) {
+	names := make([]string, len(s.mutators))
+	for i, mu := range s.mutators {
+		names[i] = mu.Name
+	}
+	s.Sched.Instrument(reg, names)
+}
+
+// ---------------------------------------------------------------------
 // μCFuzz — Algorithm 1
 // ---------------------------------------------------------------------
 
@@ -332,13 +422,8 @@ func spliceWith(mgr *muast.Manager, rng *rand.Rand) (string, bool) {
 // order until one produces a mutant covering a new branch, which is then
 // added back to the pool (Algorithm 1).
 type MuCFuzz struct {
-	comp     *compilersim.Compiler
-	cx       *compilersim.Context
-	opts     compilersim.Options
-	mutators []*muast.Mutator
-	pool     []string
-	rng      *rand.Rand
-	stats    *Stats
+	stream
+	opts compilersim.Options
 	// MaxMutatorTries bounds the inner loop; Algorithm 1 tries every
 	// mutator, which we cap for throughput on large mutator sets.
 	MaxMutatorTries int
@@ -350,83 +435,24 @@ type MuCFuzz struct {
 	// Blind disables coverage guidance (Algorithm 1 line 8): mutants are
 	// admitted to the pool at a small fixed rate instead. Ablation only.
 	Blind bool
-	// StaticFilter discards mutants the mutcheck front-end analysis
-	// rejects before they consume a compiler tick. Off by default; the
-	// mucfuzz CLI enables it (and exposes -no-static to turn it off).
+	// StaticFilter discards mutants the front end rejects before they
+	// consume a compiler tick. Off by default; the mucfuzz CLI enables
+	// it (and exposes -no-static to turn it off).
 	StaticFilter bool
-	// Quarantine benches mutators that keep panicking or exhausting
-	// their fuel budget (strike/parole discipline). Per-instance and
-	// tick-driven, so it never perturbs the deterministic schedule.
-	Quarantine *resil.Quarantine
-	// Sched ranks the mutators each tick. The default Uniform policy
-	// reproduces Algorithm 1's shuffle bit-for-bit (same stream-RNG
-	// draws); swap in sched.NewAdaptive for bandit-weighted selection.
-	// Arms index into the mutator slice in constructor order.
-	Sched sched.Scheduler
-
-	allowedFn func(int) bool
-	// spliceArena backs the unchecked-rewrite parses (see
-	// uncheckedRewriteArena).
-	spliceArena *cast.Arena
-	// flight, when attached, journals crashes, pool admissions,
-	// rewards, and quarantine churn (see AttachFlight).
-	flight FlightEmitter
 }
 
 // NewMuCFuzz builds a μCFuzz instance over the given mutator set.
 func NewMuCFuzz(name string, comp *compilersim.Compiler, mutators []*muast.Mutator,
 	seedPool []string, rng *rand.Rand) *MuCFuzz {
-	pool := make([]string, len(seedPool))
-	copy(pool, seedPool)
 	f := &MuCFuzz{
-		comp:            comp,
-		cx:              comp.NewContext(),
 		opts:            compilersim.DefaultOptions(),
-		mutators:        mutators,
-		pool:            pool,
-		rng:             rng,
-		stats:           NewStats(name),
 		MaxMutatorTries: 8,
 		MaxProgramSize:  1 << 16,
 		UncheckedRate:   DefaultUncheckedRate,
-		Quarantine:      resil.NewQuarantine(DefaultQuarantine(), nil),
-		Sched:           sched.NewUniform(len(mutators)),
-		spliceArena:     cast.NewArena(),
 	}
-	f.allowedFn = f.armAllowed
+	f.init(name, comp, mutators, seedPool, rng)
 	return f
 }
-
-// armAllowed reports whether the arm's mutator is off the quarantine
-// bench — the filter handed to the scheduler each tick.
-func (f *MuCFuzz) armAllowed(i int) bool {
-	return f.Quarantine.Allowed(f.mutators[i].Name)
-}
-
-// SchedState serializes the scheduler posterior (checkpointing).
-func (f *MuCFuzz) SchedState() *sched.State { return f.Sched.State() }
-
-// SetSchedState restores the scheduler posterior (checkpoint resume).
-func (f *MuCFuzz) SetSchedState(st *sched.State) error { return f.Sched.Restore(st) }
-
-// InstrumentSched attaches per-mutator scheduler telemetry
-// (sched_picks_total, sched_weight).
-func (f *MuCFuzz) InstrumentSched(reg *obs.Registry) {
-	names := make([]string, len(f.mutators))
-	for i, mu := range f.mutators {
-		names[i] = mu.Name
-	}
-	f.Sched.Instrument(reg, names)
-}
-
-// Name returns the fuzzer's display name.
-func (f *MuCFuzz) Name() string { return f.stats.Name }
-
-// Stats exposes the accounting.
-func (f *MuCFuzz) Stats() *Stats { return f.stats }
-
-// PoolSize returns the current program-pool size.
-func (f *MuCFuzz) PoolSize() int { return len(f.pool) }
 
 // Step runs one iteration of Algorithm 1: it stops after the first
 // mutant that covers a new branch (adding it to the pool), or after
@@ -446,7 +472,7 @@ func (f *MuCFuzz) Step() {
 	tries := 0
 	// One mutation manager serves every try of the step: all tries
 	// mutate the same pool program p, so the manager is built once
-	// (one parse via the cache, one parent-map derivation) and
+	// (one parse into the parse arena, one parent-map derivation) and
 	// Reset — which restores it to freshly-constructed state — recycles
 	// it between tries.
 	var mgr *muast.Manager
@@ -460,8 +486,7 @@ func (f *MuCFuzz) Step() {
 		}
 		if mgr == nil {
 			var err error
-			mgr, err = muast.NewManager(p, f.rng)
-			if err != nil {
+			if mgr, err = arenaManager(p, f.rng, f.parseArena); err != nil {
 				return // pool entry no longer parses (should not happen)
 			}
 		} else {
@@ -482,27 +507,26 @@ func (f *MuCFuzz) Step() {
 			continue // try the next (free)
 		}
 		if f.rng.Float64() < f.UncheckedRate {
-			if spliced, sok := uncheckedRewriteArena(mutant, f.rng, f.spliceArena); sok {
+			if spliced, sok := uncheckedRewrite(mutant, f.rng, f.spliceArena); sok {
 				mutant = spliced
 			}
 		}
 		if len(mutant) > f.MaxProgramSize {
 			continue
 		}
-		if f.StaticFilter {
-			if check, rejected := mutcheck.Reject(mutant); rejected {
-				tries++
-				f.stats.RecordStaticReject(mu.Name, check)
-				f.Sched.Observe(mi, sched.Reward{CompileError: true})
-				continue
-			}
-		}
 		tries++
+		// One front-end pass per mutant: Check is the static filter, and
+		// an accepted mutant's compile continues from its checked tree.
+		if err := f.cx.Check(mutant); err != nil && f.StaticFilter {
+			f.stats.RecordStaticReject(mu.Name, mutcheck.Classify(err))
+			f.Sched.Observe(mi, sched.Reward{CompileError: true})
+			continue
+		}
 		nCrash := len(f.stats.Crashes)
-		// Compile through the per-stream context: the result is borrowed
-		// (coverage aliases context storage until the next compile), and
-		// Stats.Record merges the coverage immediately, which is the copy.
-		res := f.cx.Compile(mutant, f.opts)
+		// The result is borrowed (coverage aliases context storage until
+		// the next Check), and Stats.Record merges the coverage
+		// immediately, which is the copy.
+		res := f.cx.CompileChecked(f.opts)
 		isNew := f.stats.Record(mutant, mu.Name, res)
 		if f.flight != nil && len(f.stats.Crashes) > nCrash {
 			emitCrash(f.flight, f.stats, res.Crash, mu.Name)
@@ -569,29 +593,10 @@ func DefaultMacroConfig() MacroConfig {
 
 // MacroFuzzer is the long-term bug-hunting fuzzer of Section 3.4.
 type MacroFuzzer struct {
-	comp     *compilersim.Compiler
-	cx       *compilersim.Context
-	mutators []*muast.Mutator
-	pool     []string
-	rng      *rand.Rand
-	stats    *Stats
-	shared   CoverageSink
-	cfg      MacroConfig
-	// Quarantine benches panicking/fuel-exhausting mutators (see
-	// MuCFuzz.Quarantine).
-	Quarantine *resil.Quarantine
-	// Sched picks the mutator for each havoc round (see MuCFuzz.Sched);
-	// the default Uniform policy reproduces the legacy rng.Intn draw.
-	Sched sched.Scheduler
-
-	allowedFn func(int) bool
-	armBuf    []int // applied-arm scratch, reused across steps
-	// spliceArena backs the unchecked-rewrite parses (see
-	// uncheckedRewriteArena).
-	spliceArena *cast.Arena
-	// flight, when attached, journals crashes, pool admissions,
-	// rewards, and quarantine churn (see AttachFlight).
-	flight FlightEmitter
+	stream
+	shared CoverageSink
+	cfg    MacroConfig
+	armBuf []int // applied-arm scratch, reused across steps
 }
 
 // NewMacroFuzzer builds a macro fuzzer worker; workers on the same
@@ -599,46 +604,10 @@ type MacroFuzzer struct {
 func NewMacroFuzzer(name string, comp *compilersim.Compiler,
 	mutators []*muast.Mutator, seedPool []string, rng *rand.Rand,
 	shared CoverageSink, cfg MacroConfig) *MacroFuzzer {
-	pool := make([]string, len(seedPool))
-	copy(pool, seedPool)
-	f := &MacroFuzzer{
-		comp: comp, cx: comp.NewContext(),
-		mutators: mutators, pool: pool, rng: rng,
-		stats: NewStats(name), shared: shared, cfg: cfg,
-		Quarantine:  resil.NewQuarantine(DefaultQuarantine(), nil),
-		Sched:       sched.NewUniform(len(mutators)),
-		spliceArena: cast.NewArena(),
-	}
-	f.allowedFn = f.armAllowed
+	f := &MacroFuzzer{shared: shared, cfg: cfg}
+	f.init(name, comp, mutators, seedPool, rng)
 	return f
 }
-
-// armAllowed reports whether the arm's mutator is off the quarantine
-// bench.
-func (f *MacroFuzzer) armAllowed(i int) bool {
-	return f.Quarantine.Allowed(f.mutators[i].Name)
-}
-
-// SchedState serializes the scheduler posterior (checkpointing).
-func (f *MacroFuzzer) SchedState() *sched.State { return f.Sched.State() }
-
-// SetSchedState restores the scheduler posterior (checkpoint resume).
-func (f *MacroFuzzer) SetSchedState(st *sched.State) error { return f.Sched.Restore(st) }
-
-// InstrumentSched attaches per-mutator scheduler telemetry.
-func (f *MacroFuzzer) InstrumentSched(reg *obs.Registry) {
-	names := make([]string, len(f.mutators))
-	for i, mu := range f.mutators {
-		names[i] = mu.Name
-	}
-	f.Sched.Instrument(reg, names)
-}
-
-// Name returns the worker's name.
-func (f *MacroFuzzer) Name() string { return f.stats.Name }
-
-// Stats exposes the accounting.
-func (f *MacroFuzzer) Stats() *Stats { return f.stats }
 
 // sampleOptions draws a random compiler command line (enhancement #1).
 func (f *MacroFuzzer) sampleOptions() compilersim.Options {
@@ -679,7 +648,7 @@ func (f *MacroFuzzer) Step() {
 		if !f.Quarantine.Allowed(mu.Name) {
 			continue // benched offender; the round is spent, like a no-op
 		}
-		mgr, err := muast.NewManager(cur, f.rng)
+		mgr, err := arenaManager(cur, f.rng, f.parseArena)
 		if err != nil {
 			break // intermediate mutant went invalid; stop stacking
 		}
@@ -711,23 +680,22 @@ func (f *MacroFuzzer) Step() {
 		return
 	}
 	if f.rng.Float64() < f.cfg.UncheckedRate {
-		if spliced, sok := uncheckedRewriteArena(cur, f.rng, f.spliceArena); sok {
+		if spliced, sok := uncheckedRewrite(cur, f.rng, f.spliceArena); sok {
 			cur = spliced
 		}
 	}
-	if f.cfg.StaticFilter {
-		if check, rejected := mutcheck.Reject(cur); rejected {
-			f.stats.RecordStaticReject(via, check)
-			for _, mi := range applied {
-				f.Sched.Observe(mi, sched.Reward{CompileError: true})
-			}
-			return
+	if err := f.cx.Check(cur); err != nil && f.cfg.StaticFilter {
+		f.stats.RecordStaticReject(via, mutcheck.Classify(err))
+		for _, mi := range applied {
+			f.Sched.Observe(mi, sched.Reward{CompileError: true})
 		}
+		return
 	}
 	nCrash := len(f.stats.Crashes)
-	// Per-stream context compile; the borrowed coverage is merged by
-	// Record and by the shared sink below before the next compile.
-	res := f.cx.Compile(cur, f.sampleOptions())
+	// The borrowed coverage is merged by Record and by the shared sink
+	// below before the next Check. The flags are drawn after the filter,
+	// so a rejected mutant costs no RNG draws.
+	res := f.cx.CompileChecked(f.sampleOptions())
 	f.stats.Record(cur, via, res)
 	if f.flight != nil && len(f.stats.Crashes) > nCrash {
 		emitCrash(f.flight, f.stats, res.Crash, via)
@@ -749,36 +717,6 @@ func (f *MacroFuzzer) Step() {
 	for _, mi := range applied {
 		f.Sched.Observe(mi, rw)
 	}
-}
-
-// Corpus returns a copy of the worker's current program pool
-// (checkpointing).
-func (f *MacroFuzzer) Corpus() []string {
-	out := make([]string, len(f.pool))
-	copy(out, f.pool)
-	return out
-}
-
-// SetCorpus replaces the program pool (checkpoint restore).
-func (f *MacroFuzzer) SetCorpus(pool []string) {
-	f.pool = make([]string, len(pool))
-	copy(f.pool, pool)
-}
-
-// PoolSize returns the current program-pool size.
-func (f *MacroFuzzer) PoolSize() int { return len(f.pool) }
-
-// Corpus returns a copy of μCFuzz's current program pool.
-func (f *MuCFuzz) Corpus() []string {
-	out := make([]string, len(f.pool))
-	copy(out, f.pool)
-	return out
-}
-
-// SetCorpus replaces μCFuzz's program pool (checkpoint restore).
-func (f *MuCFuzz) SetCorpus(pool []string) {
-	f.pool = make([]string, len(pool))
-	copy(f.pool, pool)
 }
 
 // MergedCrashes unions workers' unique crashes (earliest discovery wins).

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/icsnju/metamut-go/internal/cast"
 	"github.com/icsnju/metamut-go/internal/compilersim"
 	"github.com/icsnju/metamut-go/internal/compilersim/cover"
 	"github.com/icsnju/metamut-go/internal/muast"
@@ -82,9 +83,10 @@ func TestMacroFlagSampling(t *testing.T) {
 func TestUncheckedRewriteProducesOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	src := seeds.Generate(5, 1)[4]
+	arena := cast.NewArena()
 	produced := 0
 	for i := 0; i < 30; i++ {
-		if out, ok := uncheckedRewrite(src, rng); ok {
+		if out, ok := uncheckedRewrite(src, rng, arena); ok {
 			produced++
 			if out == src {
 				t.Error("unchecked rewrite was a no-op")
@@ -98,7 +100,8 @@ func TestUncheckedRewriteProducesOutput(t *testing.T) {
 
 func TestMergedCrashesKeepsEarliest(t *testing.T) {
 	mk := func(tick int) *MacroFuzzer {
-		m := &MacroFuzzer{stats: NewStats("w")}
+		m := &MacroFuzzer{}
+		m.stats = NewStats("w")
 		m.stats.Crashes["sig"] = &CrashInfo{FirstTick: tick}
 		return m
 	}

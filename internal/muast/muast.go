@@ -50,12 +50,11 @@ type Manager struct {
 
 // NewManager parses and checks src and returns a mutation context using
 // the given random stream. It fails if src is not a valid program —
-// mutators are only ever applied to compilable inputs. Parses are
-// memoized (cast.ParseAndCheckCached): μCFuzz re-parses the same pool
-// program up to MaxMutatorTries times per tick, so the managers of one
-// tick share a single immutable translation unit.
+// mutators are only ever applied to compilable inputs. The fuzzers'
+// hot loop parses into a stream-owned arena and calls NewManagerFromTU
+// instead.
 func NewManager(src string, rng *rand.Rand) (*Manager, error) {
-	tu, err := cast.ParseAndCheckCached(src)
+	tu, err := cast.ParseAndCheck(src)
 	if err != nil {
 		return nil, err
 	}
@@ -69,8 +68,7 @@ var identRe = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
 
 // NewManagerFromTU wraps an already-parsed translation unit. The
 // manager only reads the TU (all rewriting is text-level through RW),
-// so sharing one TU across managers — and across streams, via the parse
-// cache — is safe.
+// so sharing one TU across managers is safe.
 func NewManagerFromTU(tu *cast.TranslationUnit, rng *rand.Rand) *Manager {
 	return &Manager{
 		TU:     tu,

@@ -21,22 +21,30 @@ const (
 	CheckUnusedVariable  = "unused-variable"
 )
 
-// Reject is the fuzzing hot-path entry point: it reports whether the
-// compilersim front end would reject src, and under which check. It runs
-// exactly cast.Parse + cast.Check — by construction it never rejects a
-// program the simulated compiler accepts.
+// Reject reports whether the compilersim front end would reject src,
+// and under which check. It runs exactly cast.Parse + cast.Check — by
+// construction it never rejects a program the simulated compiler
+// accepts. The fuzzers filter through their compile context's Check
+// instead; Reject is the independent reference it is tested against.
 func Reject(src string) (check string, reject bool) {
 	tu, err := cast.Parse(src)
-	if err != nil {
-		return CheckParseError, true
+	if err == nil {
+		err = cast.Check(tu)
 	}
-	if err := cast.Check(tu); err != nil {
-		if errs, ok := err.(cast.SemaErrors); ok && len(errs) > 0 {
-			return classifySema(errs[0].Msg), true
-		}
-		return CheckSemaError, true
+	if err != nil {
+		return Classify(err), true
 	}
 	return "", false
+}
+
+// Classify labels a front-end error with the check that raised it: a
+// sema error by its first diagnostic, a lex or parse error as
+// CheckParseError.
+func Classify(err error) string {
+	if errs, ok := err.(cast.SemaErrors); ok && len(errs) > 0 {
+		return classifySema(errs[0].Msg)
+	}
+	return CheckParseError
 }
 
 // Analyze statically validates one candidate mutant: Error diagnostics
