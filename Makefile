@@ -60,7 +60,8 @@ race:
 # run. A failing input is written under the package's testdata/fuzz:
 # commit it with the fix as a regression seed.
 FUZZ_TARGETS = ./internal/mutcheck:FuzzMutantValidator \
-	./internal/mutcheck:FuzzCheckMatchesReject
+	./internal/mutcheck:FuzzCheckMatchesReject \
+	./internal/mutators:FuzzManagerResetMatchesFresh
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

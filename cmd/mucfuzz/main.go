@@ -113,6 +113,12 @@ func main() {
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
+	if *submitTo != "" && !*macro {
+		// The daemon runs only macro campaigns: submitting a μCFuzz run
+		// would silently swap the fuzzer.
+		fmt.Fprintln(os.Stderr, "mucfuzz: the daemon runs macro campaigns only; add -macro to -submit")
+		os.Exit(2)
+	}
 	if *submitTo != "" {
 		// Service delegation: the same flags become a serve.JobSpec — one
 		// canonical job schema for the single-shot CLI and the daemon —

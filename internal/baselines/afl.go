@@ -19,7 +19,7 @@ import (
 // characteristic profile — high front-end (error-path) coverage, crashes
 // concentrated in the front-end, and a ~3.5% compilable ratio (Table 5).
 type AFL struct {
-	comp  *compilersim.Compiler
+	cx    *compilersim.Context
 	pool  []string
 	rng   *rand.Rand
 	stats *fuzz.Stats
@@ -32,7 +32,7 @@ func NewAFL(name string, comp *compilersim.Compiler, seedPool []string,
 	rng *rand.Rand) *AFL {
 	pool := make([]string, len(seedPool))
 	copy(pool, seedPool)
-	return &AFL{comp: comp, pool: pool, rng: rng,
+	return &AFL{cx: comp.NewContext(), pool: pool, rng: rng,
 		stats: fuzz.NewStats(name), HavocMax: 6}
 }
 
@@ -103,7 +103,7 @@ func (a *AFL) Step() {
 		}
 	}
 	mutant := string(src)
-	res := a.comp.Compile(mutant, compilersim.DefaultOptions())
+	res := a.cx.Compile(mutant, compilersim.DefaultOptions())
 	isNew := a.stats.Record(mutant, "havoc", res)
 	if isNew {
 		// AFL admits any coverage-increasing input, compilable or not —

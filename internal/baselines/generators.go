@@ -16,7 +16,7 @@ import (
 // it saturates without crashing (the paper measured 0 crashes and notes
 // the saturation-point finding from YARPGen's authors).
 type Csmith struct {
-	comp  *compilersim.Compiler
+	cx    *compilersim.Context
 	rng   *rand.Rand
 	stats *fuzz.Stats
 	seq   int
@@ -24,7 +24,7 @@ type Csmith struct {
 
 // NewCsmith builds the Csmith-style generator baseline (seedless).
 func NewCsmith(name string, comp *compilersim.Compiler, rng *rand.Rand) *Csmith {
-	return &Csmith{comp: comp, rng: rng, stats: fuzz.NewStats(name)}
+	return &Csmith{cx: comp.NewContext(), rng: rng, stats: fuzz.NewStats(name)}
 }
 
 // Name returns the fuzzer name.
@@ -37,7 +37,7 @@ func (c *Csmith) Stats() *fuzz.Stats { return c.stats }
 func (c *Csmith) Step() {
 	c.seq++
 	src := c.generate()
-	res := c.comp.Compile(src, compilersim.DefaultOptions())
+	res := c.cx.Compile(src, compilersim.DefaultOptions())
 	c.stats.Record(src, "csmith", res)
 }
 
@@ -80,7 +80,7 @@ func (c *Csmith) generate() string {
 // passes — hence the occasional optimizer crash (the paper measured 2)
 // and near-zero front-end findings.
 type YARPGen struct {
-	comp  *compilersim.Compiler
+	cx    *compilersim.Context
 	rng   *rand.Rand
 	stats *fuzz.Stats
 	seq   int
@@ -88,7 +88,7 @@ type YARPGen struct {
 
 // NewYARPGen builds the YARPGen-style generator baseline (seedless).
 func NewYARPGen(name string, comp *compilersim.Compiler, rng *rand.Rand) *YARPGen {
-	return &YARPGen{comp: comp, rng: rng, stats: fuzz.NewStats(name)}
+	return &YARPGen{cx: comp.NewContext(), rng: rng, stats: fuzz.NewStats(name)}
 }
 
 // Name returns the fuzzer name.
@@ -101,7 +101,7 @@ func (y *YARPGen) Stats() *fuzz.Stats { return y.stats }
 func (y *YARPGen) Step() {
 	y.seq++
 	src := y.generate()
-	res := y.comp.Compile(src, compilersim.DefaultOptions())
+	res := y.cx.Compile(src, compilersim.DefaultOptions())
 	y.stats.Record(src, "yarpgen", res)
 }
 

@@ -17,7 +17,7 @@ import (
 // It is coverage-guided like μCFuzz but its tiny mutator set bounds the
 // search space it can shape.
 type GrayC struct {
-	comp  *compilersim.Compiler
+	cx    *compilersim.Context
 	pool  []string
 	rng   *rand.Rand
 	stats *fuzz.Stats
@@ -121,7 +121,7 @@ func grayCInsertExpr(m *muast.Manager) bool {
 	s := muast.RandElement(m, cands)
 	// Find an integer variable in scope (a parameter of the enclosing
 	// function) to compute over.
-	fn := m.Parents().EnclosingFunction(s)
+	fn := cast.EnclosingFunction(s)
 	if fn == nil {
 		return false
 	}
@@ -155,7 +155,7 @@ func NewGrayC(name string, comp *compilersim.Compiler, seedPool []string,
 	rng *rand.Rand) *GrayC {
 	pool := make([]string, len(seedPool))
 	copy(pool, seedPool)
-	return &GrayC{comp: comp, pool: pool, rng: rng, stats: fuzz.NewStats(name)}
+	return &GrayC{cx: comp.NewContext(), pool: pool, rng: rng, stats: fuzz.NewStats(name)}
 }
 
 // Name returns the fuzzer name.
@@ -183,7 +183,7 @@ func (g *GrayC) Step() {
 	if !ok {
 		return
 	}
-	res := g.comp.Compile(mutant, compilersim.DefaultOptions())
+	res := g.cx.Compile(mutant, compilersim.DefaultOptions())
 	isNew := g.stats.Record(mutant, mu.Name, res)
 	if isNew && res.OK {
 		g.pool = append(g.pool, mutant)

@@ -132,10 +132,18 @@ type Decl interface {
 	declNode()
 }
 
-// base carries the source extent shared by all nodes.
-type base struct{ Rng SourceRange }
+// base carries the source extent and the parent link shared by all
+// nodes.
+type base struct {
+	Rng    SourceRange
+	parent Node // written only by link, when ParseTokens finishes
+}
 
 func (b *base) Range() SourceRange { return b.Rng }
+
+func (b *base) parentNode() Node { return b.parent }
+
+func (b *base) linkTo(p Node) { b.parent = p }
 
 // SetRange updates a node's source extent (used by the parser).
 func (b *base) SetRange(begin, end int) { b.Rng = SourceRange{begin, end} }

@@ -80,7 +80,9 @@ func ParseWithArena(src string, a *Arena) (*TranslationUnit, error) {
 // walks the stream for lexical coverage before parsing — avoid
 // tokenizing the same source twice. toks is only read and may be reused
 // by the caller after ParseTokens returns; src must be the exact text
-// the tokens were lexed from (node source ranges index into it).
+// the tokens were lexed from (node source ranges index into it). Every
+// parse ends here, and here every node of the finished tree is linked to
+// its parent (see Parent). No link is written after that.
 func ParseTokens(src string, toks []Token, a *Arena) (*TranslationUnit, error) {
 	p := parserPool.Get().(*Parser)
 	p.src, p.toks, p.pos, p.err = src, toks, 0, nil
@@ -98,19 +100,14 @@ func ParseTokens(src string, toks []Token, a *Arena) (*TranslationUnit, error) {
 	}
 	tu.Source = src
 	tu.arena = a
+	link(tu)
 	return tu, nil
 }
 
-// ParseAndCheck parses src and runs semantic analysis.
+// ParseAndCheck parses src and runs semantic analysis. Like Parse, the
+// returned unit owns a private arena and is safe to retain and share.
 func ParseAndCheck(src string) (*TranslationUnit, error) {
-	tu, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if err := Check(tu); err != nil {
-		return nil, err
-	}
-	return tu, nil
+	return ParseAndCheckArena(src, NewArena())
 }
 
 // ParseAndCheckArena is ParseAndCheck over a caller-owned arena; the

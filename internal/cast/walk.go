@@ -110,8 +110,8 @@ func isNilNode(n Node) bool {
 
 // eachChild calls f for each direct AST child of n, in source order,
 // skipping nil (including typed-nil) children. This is the single source
-// of truth for child order; Walk, Children and the parent-map builders
-// all delegate to it. f must not be retained (callers pass stack-scoped
+// of truth for child order; Walk, Children and the parent linker all
+// delegate to it. f must not be retained (callers pass stack-scoped
 // closures so the traversal stays allocation-free).
 func eachChild(n Node, f func(Node)) {
 	emit := func(c Node) {
@@ -268,36 +268,31 @@ func CountNodes(root Node) int {
 	return n
 }
 
-// ParentMap maps each node to its parent, built with BuildParentMap.
-type ParentMap map[Node]Node
-
-// BuildParentMap computes the parent of every node under root.
-func BuildParentMap(root Node) ParentMap {
-	return BuildParentMapInto(nil, root)
-}
-
-// BuildParentMapInto fills pm (allocating it when nil) with the parent of
-// every node under root and returns it. Hot loops pass a cleared map to
-// reuse its buckets across mutants.
-func BuildParentMapInto(pm ParentMap, root Node) ParentMap {
-	if pm == nil {
-		pm = ParentMap{}
-	}
-	buildParents(pm, root)
-	return pm
-}
-
-func buildParents(pm ParentMap, n Node) {
+// link points every child under n at its parent. ParseTokens calls it
+// once on the finished tree and nothing else writes parent links, so
+// reading them never races with a writer on a shared tree.
+func link(n Node) {
 	eachChild(n, func(c Node) {
-		pm[c] = n
-		buildParents(pm, c)
+		c.(interface{ linkTo(Node) }).linkTo(n)
+		link(c)
 	})
+}
+
+// Parent returns the node whose child n is in the parsed tree. It is
+// nil for the root, for a nil or typed-nil n, and for nodes the parser
+// did not build.
+func Parent(n Node) Node {
+	l, ok := n.(interface{ parentNode() Node })
+	if !ok || isNilNode(n) {
+		return nil
+	}
+	return l.parentNode()
 }
 
 // EnclosingFunction returns the FunctionDecl that lexically contains n, or
 // nil when n is at file scope.
-func (pm ParentMap) EnclosingFunction(n Node) *FunctionDecl {
-	for cur := pm[n]; cur != nil; cur = pm[cur] {
+func EnclosingFunction(n Node) *FunctionDecl {
+	for cur := Parent(n); cur != nil; cur = Parent(cur) {
 		if fd, ok := cur.(*FunctionDecl); ok {
 			return fd
 		}
@@ -307,8 +302,8 @@ func (pm ParentMap) EnclosingFunction(n Node) *FunctionDecl {
 
 // EnclosingStmt returns the nearest enclosing statement of n (or n itself
 // if it is a statement).
-func (pm ParentMap) EnclosingStmt(n Node) Stmt {
-	for cur := n; cur != nil; cur = pm[cur] {
+func EnclosingStmt(n Node) Stmt {
+	for cur := n; cur != nil; cur = Parent(cur) {
 		if s, ok := cur.(Stmt); ok {
 			return s
 		}
@@ -317,8 +312,8 @@ func (pm ParentMap) EnclosingStmt(n Node) Stmt {
 }
 
 // EnclosingLoop returns the nearest enclosing loop statement of n, or nil.
-func (pm ParentMap) EnclosingLoop(n Node) Stmt {
-	for cur := pm[n]; cur != nil; cur = pm[cur] {
+func EnclosingLoop(n Node) Stmt {
+	for cur := Parent(n); cur != nil; cur = Parent(cur) {
 		switch cur.(type) {
 		case *WhileStmt, *DoStmt, *ForStmt:
 			return cur.(Stmt)

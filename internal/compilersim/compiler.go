@@ -2,9 +2,9 @@ package compilersim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/icsnju/metamut-go/internal/compilersim/cover"
 	"github.com/icsnju/metamut-go/internal/compilersim/ir"
@@ -64,10 +64,6 @@ type Compiler struct {
 	// Per-stage tracer seeds (HashString(Name+".fe") etc.), hashed once
 	// so per-compilation tracer setup allocates nothing.
 	feSeed, irSeed, optSeed, beSeed uint32
-
-	// ctxs pools compile contexts for the owning Compile API; streams
-	// that want borrowed results hold their own Context instead.
-	ctxs sync.Pool
 }
 
 // compilerTelemetry holds pre-resolved handles so the per-compilation
@@ -108,7 +104,6 @@ func New(name string, version int) *Compiler {
 	c.irSeed = cover.HashString(c.Name + ".ir")
 	c.optSeed = cover.HashString(c.Name + ".opt")
 	c.beSeed = cover.HashString(c.Name + ".be")
-	c.ctxs.New = func() any { return c.NewContext() }
 	return c
 }
 
@@ -152,47 +147,29 @@ func (t *compilerTelemetry) record(c *Compiler, res Result) {
 }
 
 // Compile runs the full pipeline on src. The result is fully owned by
-// the caller: compilation happens through a pooled context and the
-// borrowed result is deep-cloned before the context returns to the
-// pool. Fuzzing streams that can honor the borrow discipline should
-// hold a Context and call Context.Compile instead.
+// the caller: it compiles on a fresh context that nothing else sees.
+// Callers that compile many programs should hold a Context and call
+// Context.Compile instead.
 func (c *Compiler) Compile(src string, opts Options) Result {
-	cx := c.ctxs.Get().(*Context)
-	cx.Check(src)
-	res := cloneResult(cx.compileChecked(opts))
-	c.ctxs.Put(cx)
-	if t := c.tele; t != nil {
-		t.record(c, res)
-	}
-	return res
+	return c.NewContext().Compile(src, opts)
 }
 
-// enabledPasses filters the profile pipeline by the options.
-func (c *Compiler) enabledPasses(opts Options) []Pass {
-	disabled := map[string]bool{}
-	for _, p := range opts.DisabledPasses {
-		disabled[p] = true
-	}
-	var out []Pass
+// appendEnabledPasses appends the profile pipeline, filtered by opts, to
+// dst and returns it. A pass is disabled by its name or by its name
+// without the round suffix ("cse" also disables "cse2"); -O1 drops the
+// vectorizer and string-builtin folding.
+func (c *Compiler) appendEnabledPasses(dst []Pass, opts Options) []Pass {
 	for _, p := range c.passes {
-		base := strings.TrimRight(p.Name, "0123456789")
-		if disabled[p.Name] || disabled[base] {
+		if opts.OptLevel == 1 && (p.Name == "loopvec" || p.Name == "strbuiltin") {
 			continue
 		}
-		out = append(out, p)
-	}
-	if opts.OptLevel == 1 {
-		// -O1: no vectorizer, no string-builtin folding.
-		var o1 []Pass
-		for _, p := range out {
-			if p.Name == "loopvec" || p.Name == "strbuiltin" {
-				continue
-			}
-			o1 = append(o1, p)
+		if slices.Contains(opts.DisabledPasses, p.Name) ||
+			slices.Contains(opts.DisabledPasses, strings.TrimRight(p.Name, "0123456789")) {
+			continue
 		}
-		return o1
+		dst = append(dst, p)
 	}
-	return out
+	return dst
 }
 
 // diagClass reduces a diagnostic message to its template (everything up

@@ -1,8 +1,6 @@
 package compilersim
 
 import (
-	"maps"
-
 	"github.com/icsnju/metamut-go/internal/cast"
 	"github.com/icsnju/metamut-go/internal/compilersim/cover"
 )
@@ -23,8 +21,8 @@ import (
 //     the same context. Callers that retain anything (corpus
 //     admission, crash reports) must copy what they keep — coverage is
 //     typically merged immediately, which is a copy by construction.
-//   - Compiler.Compile keeps its owning contract: it compiles through a
-//     pooled context and deep-clones the result before returning it.
+//   - Compiler.Compile keeps its owning contract: it compiles on a
+//     fresh context, so its result is owned by construction.
 type Context struct {
 	c *Compiler
 
@@ -49,11 +47,9 @@ type Context struct {
 	// Check accepted its program.
 	tu *cast.TranslationUnit
 
-	// Enabled-pass memo, keyed by the last Options seen.
-	passLevel    int
-	passDisabled []string
-	passList     []Pass
-	passValid    bool
+	// passes is the scratch slice the optimizer's pass list is filtered
+	// into on each compile.
+	passes []Pass
 }
 
 // NewContext returns a fresh reusable compile context for c.
@@ -212,7 +208,8 @@ func (cx *Context) compileChecked(opts Options) Result {
 		cx.o.trace = &cx.optTr
 		cx.o.feats = feats
 		cx.o.prog = prog
-		cx.o.run(cx.enabledPasses(opts))
+		cx.passes = c.appendEnabledPasses(cx.passes[:0], opts)
+		cx.o.run(cx.passes)
 		if crash := c.checkBugs(tc, Opt); crash != nil {
 			return c.crashResult(crash, covMap, feats, diags)
 		}
@@ -226,55 +223,4 @@ func (cx *Context) compileChecked(opts Options) Result {
 	}
 
 	return Result{OK: true, Coverage: covMap, Object: obj, Feats: feats}
-}
-
-// enabledPasses returns the profile pipeline filtered by opts, memoized
-// against the last options seen (fuzzing streams compile thousands of
-// mutants under one flag set).
-func (cx *Context) enabledPasses(opts Options) []Pass {
-	if cx.passValid && cx.passLevel == opts.OptLevel &&
-		stringSliceEqual(cx.passDisabled, opts.DisabledPasses) {
-		return cx.passList
-	}
-	cx.passList = cx.c.enabledPasses(opts)
-	cx.passLevel = opts.OptLevel
-	cx.passDisabled = append(cx.passDisabled[:0], opts.DisabledPasses...)
-	cx.passValid = true
-	return cx.passList
-}
-
-func stringSliceEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// cloneResult deep-copies a borrowed Result into owned storage: a fresh
-// coverage map, feature map, diagnostics and object, so the clone stays
-// valid after the producing context is reused. The Crash report is
-// already owned (allocated per compile).
-func cloneResult(r Result) Result {
-	if r.Coverage != nil {
-		r.Coverage = r.Coverage.Clone()
-	}
-	if r.Feats != nil {
-		r.Feats = maps.Clone(r.Feats)
-	}
-	if len(r.Diagnostics) > 0 {
-		r.Diagnostics = append([]string(nil), r.Diagnostics...)
-	} else {
-		r.Diagnostics = nil
-	}
-	if r.Object != nil {
-		o := *r.Object
-		o.Instrs = append([]AsmInstr(nil), r.Object.Instrs...)
-		r.Object = &o
-	}
-	return r
 }

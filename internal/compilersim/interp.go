@@ -656,7 +656,7 @@ func (c *Compiler) executeFresh(src string, opts Options) ExecResult {
 	}
 	prog := GenerateIR(tu, nopTrace(), Features{})
 	if opts.OptLevel >= 1 {
-		Optimize(prog, c.enabledPasses(opts), nopTrace(), Features{})
+		Optimize(prog, c.appendEnabledPasses(nil, opts), nopTrace(), Features{})
 	}
 	return NewInterp(prog).Execute("main", nil)
 }

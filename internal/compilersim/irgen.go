@@ -1134,5 +1134,3 @@ var builtinCallees = map[string]bool{
 	"putchar": true, "puts": true, "atoi": true, "fabs": true,
 	"sqrt": true, "pow": true,
 }
-
-func isBuiltinCallee(name string) bool { return builtinCallees[name] }

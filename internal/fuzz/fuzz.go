@@ -472,7 +472,7 @@ func (f *MuCFuzz) Step() {
 	tries := 0
 	// One mutation manager serves every try of the step: all tries
 	// mutate the same pool program p, so the manager is built once
-	// (one parse into the parse arena, one parent-map derivation) and
+	// (one parse into the parse arena, which also links parents) and
 	// Reset — which restores it to freshly-constructed state — recycles
 	// it between tries.
 	var mgr *muast.Manager

@@ -41,7 +41,6 @@ type Manager struct {
 	RW *cast.Rewriter
 
 	rng     *rand.Rand
-	parents cast.ParentMap
 	nameSeq int
 	idents  map[string]bool
 	fuel    int
@@ -83,10 +82,10 @@ func NewManagerFromTU(tu *cast.TranslationUnit, rng *rand.Rand) *Manager {
 // sequence and identifier set, making the manager equivalent to a
 // freshly constructed one over the same translation unit. The
 // fuzzers reuse one manager across the mutants of a step instead of
-// allocating a rewriter per try. The parent map is a pure cache of the
-// immutable TU and survives; the idents map does NOT — generated names
-// are recorded into it, so keeping it would shift GenerateUniqueName
-// results away from fresh-manager behavior.
+// allocating a rewriter per try. The idents map does not survive:
+// generated names are recorded into it, so keeping it would shift
+// GenerateUniqueName results away from fresh-manager behavior. Parent
+// links need no reset; they live in the tree (cast.Parent).
 func (m *Manager) Reset() {
 	m.RW.Reset()
 	m.fuel = DefaultFuel
@@ -246,13 +245,10 @@ func (m *Manager) Stmts(root cast.Node, pred func(cast.Stmt) bool) []cast.Stmt {
 	return out
 }
 
-// Parents lazily computes and caches the parent map.
-func (m *Manager) Parents() cast.ParentMap {
-	if m.parents == nil {
-		m.parents = cast.BuildParentMap(m.TU)
-	}
-	return m.parents
-}
+// Parents returns the parent relation of the manager's tree, which is
+// cast.Parent: the parser links every node to its parent, so the
+// manager keeps no parent state.
+func (m *Manager) Parents() func(cast.Node) cast.Node { return cast.Parent }
 
 // ReturnsOf returns all return statements lexically inside fn.
 func (m *Manager) ReturnsOf(fn *cast.FunctionDecl) []*cast.ReturnStmt {

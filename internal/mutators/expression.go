@@ -506,15 +506,14 @@ func copyExpr(m *muast.Manager) bool {
 	}
 	dst := muast.RandElement(m, exprs)
 	var srcs []cast.Expr
-	pm := m.Parents()
 	for _, e := range exprs {
 		if e == dst {
 			continue
 		}
 		// Source and destination must live in the same function so that
 		// the copied text's references stay in scope.
-		fn := pm.EnclosingFunction(e)
-		if fn == nil || fn != pm.EnclosingFunction(dst) {
+		fn := cast.EnclosingFunction(e)
+		if fn == nil || fn != cast.EnclosingFunction(dst) {
 			continue
 		}
 		if !m.CheckAssignment(dst.Type(), e.Type()) {
@@ -541,7 +540,6 @@ func copyExpr(m *muast.Manager) bool {
 
 func replaceCallWithConstant(m *muast.Manager) bool {
 	var cands []*cast.CallExpr
-	pm := m.Parents()
 	for _, fn := range m.Functions() {
 		cast.Walk(fn.Body, func(n cast.Node) bool {
 			if ce, ok := n.(*cast.CallExpr); ok {
@@ -550,7 +548,7 @@ func replaceCallWithConstant(m *muast.Manager) bool {
 					cands = append(cands, ce)
 				} else if t.IsVoid() {
 					// A void call in statement position can become a no-op.
-					if _, isStmt := pm[ce].(*cast.ExprStmt); isStmt {
+					if _, isStmt := cast.Parent(ce).(*cast.ExprStmt); isStmt {
 						cands = append(cands, ce)
 					}
 				}
@@ -790,7 +788,6 @@ func swapSubscriptBase(m *muast.Manager) bool {
 
 // incDecStmts returns ++/-- expressions in statement position.
 func incDecStmts(m *muast.Manager) []*cast.UnaryOperator {
-	pm := m.Parents()
 	var out []*cast.UnaryOperator
 	for _, fn := range m.Functions() {
 		cast.Walk(fn.Body, func(n cast.Node) bool {
@@ -800,7 +797,7 @@ func incDecStmts(m *muast.Manager) []*cast.UnaryOperator {
 			}
 			switch uo.Op {
 			case cast.UnPreInc, cast.UnPreDec, cast.UnPostInc, cast.UnPostDec:
-				if _, isStmt := pm[uo].(*cast.ExprStmt); isStmt {
+				if _, isStmt := cast.Parent(uo).(*cast.ExprStmt); isStmt {
 					out = append(out, uo)
 				}
 			}
@@ -1036,7 +1033,6 @@ func addSizeofTerm(m *muast.Manager) bool {
 }
 
 func replaceWithSameScopeVariable(m *muast.Manager) bool {
-	pm := m.Parents()
 	type vis struct {
 		nm string
 		d  cast.Decl
@@ -1061,7 +1057,7 @@ func replaceWithSameScopeVariable(m *muast.Manager) bool {
 		}
 		cast.Walk(fn.Body, func(n cast.Node) bool {
 			dr, ok := n.(*cast.DeclRefExpr)
-			if !ok || parentRequiresLvalue(pm, dr) {
+			if !ok || parentRequiresLvalue(dr) {
 				return true
 			}
 			if !simpleScalar(dr.Type()) {
@@ -1134,10 +1130,9 @@ func unfoldConstant(m *muast.Manager) bool {
 func conditionAlwaysTrue(m *muast.Manager) bool {
 	conds := conditions(m)
 	var cands []cast.Expr
-	pm := m.Parents()
 	for _, c := range conds {
 		// Forcing a while/for condition true would hang; restrict to if.
-		if _, isIf := pm[c].(*cast.IfStmt); isIf {
+		if _, isIf := cast.Parent(c).(*cast.IfStmt); isIf {
 			cands = append(cands, c)
 		}
 	}
@@ -1178,7 +1173,6 @@ func modifyArrayIndex(m *muast.Manager) bool {
 }
 
 func replaceMemberWithOtherField(m *muast.Manager) bool {
-	pm := m.Parents()
 	type inst struct {
 		me *cast.MemberExpr
 		nm string
@@ -1187,7 +1181,7 @@ func replaceMemberWithOtherField(m *muast.Manager) bool {
 	for _, fn := range m.Functions() {
 		cast.Walk(fn.Body, func(n cast.Node) bool {
 			me, ok := n.(*cast.MemberExpr)
-			if !ok || me.FieldDecl == nil || parentRequiresLvalue(pm, me) {
+			if !ok || me.FieldDecl == nil || parentRequiresLvalue(me) {
 				return true
 			}
 			target := me.Base.Type()

@@ -130,9 +130,8 @@ func modifyFunctionReturnTypeToVoid(m *muast.Manager) bool {
 	if fn.Ret.IsFloating() {
 		repl = "0.0"
 	}
-	pm := m.Parents()
 	for _, call := range m.CallsTo(fn) {
-		if es, ok := pm[call].(*cast.ExprStmt); ok {
+		if es, ok := cast.Parent(call).(*cast.ExprStmt); ok {
 			// A statement-position call can simply keep calling.
 			_ = es
 			continue
@@ -172,7 +171,6 @@ func hasSeparatePrototype(m *muast.Manager, fn *cast.FunctionDecl) bool {
 }
 
 func simpleUninliner(m *muast.Manager) bool {
-	pm := m.Parents()
 	type inst struct {
 		s  cast.Stmt
 		fn *cast.FunctionDecl
@@ -190,7 +188,7 @@ func simpleUninliner(m *muast.Manager) bool {
 					continue
 				}
 				// Outlined code may only touch globals: no local refs.
-				if usesAnyLocal(pm, es) {
+				if usesAnyLocal(es) {
 					continue
 				}
 				cands = append(cands, inst{es, fn})
@@ -213,7 +211,7 @@ func simpleUninliner(m *muast.Manager) bool {
 
 // usesAnyLocal reports whether the subtree references any local variable
 // or parameter.
-func usesAnyLocal(pm cast.ParentMap, n cast.Node) bool {
+func usesAnyLocal(n cast.Node) bool {
 	found := false
 	cast.Walk(n, func(c cast.Node) bool {
 		if dr, ok := c.(*cast.DeclRefExpr); ok {
@@ -251,7 +249,6 @@ func inlineFunctionCall(m *muast.Manager) bool {
 		text string
 	}
 	var cands []inst
-	pm := m.Parents()
 	for _, fn := range m.Functions() {
 		cast.Walk(fn.Body, func(n cast.Node) bool {
 			ce, ok := n.(*cast.CallExpr)
@@ -267,7 +264,7 @@ func inlineFunctionCall(m *muast.Manager) bool {
 							safe = false
 						}
 					}
-					if safe && !parentRequiresLvalue(pm, ce) {
+					if safe && !parentRequiresLvalue(ce) {
 						cands = append(cands, inst{ce, v})
 					}
 				}
@@ -537,7 +534,6 @@ func addVoidWrapperFunction(m *muast.Manager) bool {
 		call *cast.CallExpr
 	}
 	var cands []inst
-	pm := m.Parents()
 	for _, fn := range m.Functions() {
 		if fn.Name == "main" || fn.Variadic {
 			continue
@@ -555,7 +551,6 @@ func addVoidWrapperFunction(m *muast.Manager) bool {
 			}
 		}
 	}
-	_ = pm
 	if len(cands) == 0 {
 		return false
 	}
@@ -670,7 +665,6 @@ func addPrototypeBeforeUse(m *muast.Manager) bool {
 }
 
 func makeParamsConst(m *muast.Manager) bool {
-	pm := m.Parents()
 	type inst struct{ pv *cast.ParmVarDecl }
 	var cands []inst
 	for _, fn := range m.Functions() {
@@ -683,7 +677,7 @@ func makeParamsConst(m *muast.Manager) bool {
 			}
 			written := false
 			for _, u := range m.UsesOf(pv) {
-				if parentRequiresLvalue(pm, u) {
+				if parentRequiresLvalue(u) {
 					written = true
 					break
 				}
@@ -715,23 +709,22 @@ func returnConstantFunction(m *muast.Manager) bool {
 }
 
 func extractExprToHelper(m *muast.Manager) bool {
-	pm := m.Parents()
 	type inst struct {
 		e  cast.Expr
 		fn *cast.FunctionDecl
 	}
 	var cands []inst
 	for _, e := range mutableIntExprs(m) {
-		if usesAnyLocal(pm, e) {
+		if usesAnyLocal(e) {
 			continue
 		}
 		if _, isLit := e.(*cast.IntegerLiteral); isLit {
 			continue // extracting bare literals is noise
 		}
-		if inConstantContext(pm, e) {
+		if inConstantContext(e) {
 			continue
 		}
-		fn := pm.EnclosingFunction(e)
+		fn := cast.EnclosingFunction(e)
 		if fn != nil {
 			cands = append(cands, inst{e, fn})
 		}

@@ -46,7 +46,6 @@ func reg(name, desc string, cat muast.Category, set muast.Set, creative bool, fn
 // sit in ordinary expression positions (excluding case labels, global
 // initializers and array dimensions, which require constant expressions).
 func mutableIntExprs(m *muast.Manager) []cast.Expr {
-	pm := m.Parents()
 	var out []cast.Expr
 	for _, fn := range m.Functions() {
 		cast.Walk(fn.Body, func(n cast.Node) bool {
@@ -63,7 +62,7 @@ func mutableIntExprs(m *muast.Manager) []cast.Expr {
 				return true
 			}
 			// Skip lvalues in assignment/&-operand position.
-			if parentRequiresLvalue(pm, e) {
+			if parentRequiresLvalue(e) {
 				return true
 			}
 			out = append(out, e)
@@ -75,8 +74,8 @@ func mutableIntExprs(m *muast.Manager) []cast.Expr {
 
 // parentRequiresLvalue reports whether e is used in a position that needs
 // an lvalue (assignment LHS, ++/--, address-of).
-func parentRequiresLvalue(pm cast.ParentMap, e cast.Expr) bool {
-	parent := pm[e]
+func parentRequiresLvalue(e cast.Expr) bool {
+	parent := cast.Parent(e)
 	switch p := parent.(type) {
 	case *cast.BinaryOperator:
 		return p.Op.IsAssignment() && p.LHS == e
@@ -86,14 +85,13 @@ func parentRequiresLvalue(pm cast.ParentMap, e cast.Expr) bool {
 			return true
 		}
 	case *cast.ParenExpr:
-		return parentRequiresLvalue(pm, p)
+		return parentRequiresLvalue(p)
 	}
 	return false
 }
 
 // intLiterals returns integer literals outside constant-only contexts.
 func intLiterals(m *muast.Manager) []*cast.IntegerLiteral {
-	pm := m.Parents()
 	var out []*cast.IntegerLiteral
 	for _, fn := range m.Functions() {
 		cast.Walk(fn.Body, func(n cast.Node) bool {
@@ -101,7 +99,7 @@ func intLiterals(m *muast.Manager) []*cast.IntegerLiteral {
 				return false
 			}
 			if il, ok := n.(*cast.IntegerLiteral); ok {
-				if !inConstantContext(pm, il) {
+				if !inConstantContext(il) {
 					out = append(out, il)
 				}
 			}
@@ -113,8 +111,8 @@ func intLiterals(m *muast.Manager) []*cast.IntegerLiteral {
 
 // inConstantContext reports whether n sits where C requires an
 // integer-constant expression (case labels, enum values, array bounds).
-func inConstantContext(pm cast.ParentMap, n cast.Node) bool {
-	for cur := pm[n]; cur != nil; cur = pm[cur] {
+func inConstantContext(n cast.Node) bool {
+	for cur := cast.Parent(n); cur != nil; cur = cast.Parent(cur) {
 		switch cur.(type) {
 		case *cast.CaseStmt, *cast.EnumConstantDecl:
 			return true
@@ -157,8 +155,7 @@ func localVarDecls(m *muast.Manager, needInit bool) []*cast.VarDecl {
 
 // declStmtFor finds the DeclStmt containing vd.
 func declStmtFor(m *muast.Manager, vd *cast.VarDecl) *cast.DeclStmt {
-	pm := m.Parents()
-	if ds, ok := pm[vd].(*cast.DeclStmt); ok {
+	if ds, ok := cast.Parent(vd).(*cast.DeclStmt); ok {
 		return ds
 	}
 	return nil

@@ -831,7 +831,6 @@ func splitCompoundCondition(m *muast.Manager) bool {
 }
 
 func hoistDeclToTop(m *muast.Manager) bool {
-	pm := m.Parents()
 	type inst struct {
 		ds    *cast.DeclStmt
 		vd    *cast.VarDecl
@@ -866,7 +865,6 @@ func hoistDeclToTop(m *muast.Manager) bool {
 			return true
 		})
 	}
-	_ = pm
 	if len(cands) == 0 {
 		return false
 	}
@@ -906,7 +904,6 @@ func nameUsedBefore(m *muast.Manager, cs *cast.CompoundStmt, i int, name string)
 }
 
 func guardStmtWithOpaquePredicate(m *muast.Manager) bool {
-	pm := m.Parents()
 	type inst struct {
 		s  cast.Stmt
 		nm string
@@ -935,7 +932,6 @@ func guardStmtWithOpaquePredicate(m *muast.Manager) bool {
 			return true
 		})
 	}
-	_ = pm
 	if len(cands) == 0 {
 		return false
 	}

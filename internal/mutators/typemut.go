@@ -38,7 +38,6 @@ func init() {
 // be substituted wholesale: single-declarator DeclStmt, basic type, and
 // whose uses stay well-typed under any arithmetic retyping.
 func retypeableLocals(m *muast.Manager) []*cast.VarDecl {
-	pm := m.Parents()
 	var out []*cast.VarDecl
 	for _, vd := range m.LocalVars(nil) {
 		if vd.Name == "" || vd.Ty.Q != 0 || vd.Storage != cast.StorageNone {
@@ -47,14 +46,14 @@ func retypeableLocals(m *muast.Manager) []*cast.VarDecl {
 		if _, ok := vd.Ty.T.(*cast.BasicType); !ok {
 			continue
 		}
-		ds, ok := pm[vd].(*cast.DeclStmt)
+		ds, ok := cast.Parent(vd).(*cast.DeclStmt)
 		if !ok || len(ds.Decls) != 1 {
 			continue
 		}
 		// Address-taken variables pin their type via pointers.
 		addressed := false
 		for _, u := range m.UsesOf(vd) {
-			if uo, ok := pm[u].(*cast.UnaryOperator); ok && uo.Op == cast.UnAddr {
+			if uo, ok := cast.Parent(u).(*cast.UnaryOperator); ok && uo.Op == cast.UnAddr {
 				addressed = true
 				break
 			}
@@ -76,9 +75,8 @@ func retypeLocal(m *muast.Manager, vd *cast.VarDecl, newTy string) bool {
 // type would not compile (%, <<, >>, ~, array index, switch condition,
 // case label).
 func usedInShiftOrMod(m *muast.Manager, vd *cast.VarDecl) bool {
-	pm := m.Parents()
 	for _, u := range m.UsesOf(vd) {
-		for cur := cast.Node(u); cur != nil; cur = pm[cur] {
+		for cur := cast.Node(u); cur != nil; cur = cast.Parent(cur) {
 			switch p := cur.(type) {
 			case *cast.BinaryOperator:
 				switch p.Op {
@@ -121,7 +119,6 @@ func containsNode(root cast.Node, target cast.Node) bool {
 }
 
 func structToInt(m *muast.Manager) bool {
-	pm := m.Parents()
 	var cands []*cast.VarDecl
 	for _, vd := range m.LocalVars(nil) {
 		if !vd.Ty.IsRecord() || vd.Init != nil {
@@ -130,7 +127,7 @@ func structToInt(m *muast.Manager) bool {
 		if len(m.UsesOf(vd)) > 0 {
 			continue // any member access would break
 		}
-		ds, ok := pm[vd].(*cast.DeclStmt)
+		ds, ok := cast.Parent(vd).(*cast.DeclStmt)
 		if !ok || len(ds.Decls) != 1 {
 			continue
 		}
@@ -223,7 +220,6 @@ func intToFloatType(m *muast.Manager) bool {
 // struct variable's storage is replaced by a long long, and every member
 // reference becomes pointer arithmetic over the combined storage.
 func decaySmallStruct(m *muast.Manager) bool {
-	pm := m.Parents()
 	type inst struct {
 		vd *cast.VarDecl
 		rd *cast.RecordDecl
@@ -237,14 +233,14 @@ func decaySmallStruct(m *muast.Manager) bool {
 		if vd.Ty.Size() <= 0 || vd.Ty.Size() > 8 {
 			continue
 		}
-		ds, ok := pm[vd].(*cast.DeclStmt)
+		ds, ok := cast.Parent(vd).(*cast.DeclStmt)
 		if !ok || len(ds.Decls) != 1 {
 			continue
 		}
 		// All uses must be direct member accesses (x.f).
 		allMembers := true
 		for _, u := range m.UsesOf(vd) {
-			me, ok := pm[u].(*cast.MemberExpr)
+			me, ok := cast.Parent(u).(*cast.MemberExpr)
 			if !ok || me.IsArrow || me.Base != cast.Expr(u) {
 				allMembers = false
 				break
@@ -277,7 +273,7 @@ func decaySmallStruct(m *muast.Manager) bool {
 	}
 	// Rewrite each member access.
 	for _, u := range m.UsesOf(c.vd) {
-		me := pm[u].(*cast.MemberExpr)
+		me := cast.Parent(u).(*cast.MemberExpr)
 		if me.FieldDecl == nil {
 			return false
 		}
@@ -287,6 +283,6 @@ func decaySmallStruct(m *muast.Manager) bool {
 			return false
 		}
 	}
-	ds := pm[c.vd].(*cast.DeclStmt)
+	ds := cast.Parent(c.vd).(*cast.DeclStmt)
 	return m.ReplaceNode(ds, "long long "+combined+" = 0;")
 }

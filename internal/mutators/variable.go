@@ -105,9 +105,8 @@ func changeVarDeclQualifier(m *muast.Manager) bool {
 	// Removing const from a var that is never written is always safe;
 	// adding const to a var that is written would not compile. Check uses.
 	written := false
-	pm := m.Parents()
 	for _, u := range m.UsesOf(vd) {
-		if parentRequiresLvalue(pm, u) {
+		if parentRequiresLvalue(u) {
 			written = true
 			break
 		}
@@ -133,9 +132,8 @@ func changeVarDeclQualifier(m *muast.Manager) bool {
 
 func switchInitExpr(m *muast.Manager) bool {
 	byFn := map[*cast.FunctionDecl][]*cast.VarDecl{}
-	pm := m.Parents()
 	for _, vd := range localVarDecls(m, true) {
-		if fn := pm.EnclosingFunction(vd); fn != nil {
+		if fn := cast.EnclosingFunction(vd); fn != nil {
 			byFn[fn] = append(byFn[fn], vd)
 		}
 	}
@@ -191,14 +189,13 @@ func initRefsVisibleBefore(e cast.Expr, decl *cast.VarDecl) bool {
 
 func removeVarInitializer(m *muast.Manager) bool {
 	var cands []*cast.VarDecl
-	pm := m.Parents()
 	for _, vd := range localVarDecls(m, true) {
 		// Removing a const var's initializer leaves it unusable; skip.
 		if vd.Ty.Q&cast.QualConst != 0 {
 			continue
 		}
 		// Keep loop-init declarations intact ("for (int i = 0;...)").
-		if _, inFor := pm[pm[vd]].(*cast.ForStmt); inFor {
+		if _, inFor := cast.Parent(cast.Parent(vd)).(*cast.ForStmt); inFor {
 			continue
 		}
 		cands = append(cands, vd)
@@ -214,9 +211,8 @@ func removeVarInitializer(m *muast.Manager) bool {
 func duplicateVarDecl(m *muast.Manager) bool {
 	cands := localVarDecls(m, true)
 	var filtered []*cast.VarDecl
-	pm := m.Parents()
 	for _, vd := range cands {
-		if _, inFor := pm[pm[vd]].(*cast.ForStmt); inFor {
+		if _, inFor := cast.Parent(cast.Parent(vd)).(*cast.ForStmt); inFor {
 			continue
 		}
 		if m.IsSideEffectFree(vd.Init) {
@@ -237,13 +233,12 @@ func duplicateVarDecl(m *muast.Manager) bool {
 }
 
 func promoteLocalToGlobal(m *muast.Manager) bool {
-	pm := m.Parents()
 	var cands []*cast.VarDecl
 	for _, vd := range localVarDecls(m, false) {
 		if vd.Storage != cast.StorageNone {
 			continue
 		}
-		if _, inFor := pm[pm[vd]].(*cast.ForStmt); inFor {
+		if _, inFor := cast.Parent(cast.Parent(vd)).(*cast.ForStmt); inFor {
 			continue
 		}
 		// Initializer must be a constant for file scope.
@@ -280,7 +275,7 @@ func promoteLocalToGlobal(m *muast.Manager) bool {
 	if !m.ReplaceNode(ds, ";") {
 		return false
 	}
-	fn := pm.EnclosingFunction(vd)
+	fn := cast.EnclosingFunction(vd)
 	return m.InsertBefore(fn, text+"\n")
 }
 
@@ -362,7 +357,6 @@ func changeParamScope(m *muast.Manager) bool {
 }
 
 func aggregateMemberToScalarVariable(m *muast.Manager) bool {
-	pm := m.Parents()
 	var cands []*cast.ArraySubscriptExpr
 	for _, fn := range m.Functions() {
 		cast.Walk(fn.Body, func(n cast.Node) bool {
@@ -393,7 +387,7 @@ func aggregateMemberToScalarVariable(m *muast.Manager) bool {
 	if !m.ReplaceNode(ase, name) {
 		return false
 	}
-	fn := pm.EnclosingFunction(ase)
+	fn := cast.EnclosingFunction(ase)
 	decl := m.FormatAsDecl(ase.Type().Unqualified(), name) + ";"
 	return m.InsertBefore(fn, decl+"\n")
 }
@@ -423,7 +417,6 @@ func combineVariable(m *muast.Manager) bool {
 }
 
 func splitVarDecl(m *muast.Manager) bool {
-	pm := m.Parents()
 	var cands []*cast.VarDecl
 	for _, vd := range localVarDecls(m, true) {
 		if vd.Ty.Q&cast.QualConst != 0 || vd.Ty.IsArray() || vd.Ty.IsRecord() {
@@ -432,7 +425,7 @@ func splitVarDecl(m *muast.Manager) bool {
 		if _, isList := vd.Init.(*cast.InitListExpr); isList {
 			continue
 		}
-		if _, inFor := pm[pm[vd]].(*cast.ForStmt); inFor {
+		if _, inFor := cast.Parent(cast.Parent(vd)).(*cast.ForStmt); inFor {
 			continue
 		}
 		ds := declStmtFor(m, vd)
@@ -475,7 +468,6 @@ func nodeRange(r cast.SourceRange) cast.Node { return rangeNode{r} }
 
 func varToArray(m *muast.Manager) bool {
 	var cands []*cast.VarDecl
-	pm := m.Parents()
 	for _, vd := range localVarDecls(m, false) {
 		if !simpleScalar(vd.Ty) || vd.Ty.Q != 0 || vd.NameRange.Len() == 0 {
 			continue
@@ -485,7 +477,7 @@ func varToArray(m *muast.Manager) bool {
 				continue
 			}
 		}
-		if _, inFor := pm[pm[vd]].(*cast.ForStmt); inFor {
+		if _, inFor := cast.Parent(cast.Parent(vd)).(*cast.ForStmt); inFor {
 			continue
 		}
 		cands = append(cands, vd)
@@ -511,7 +503,6 @@ func varToArray(m *muast.Manager) bool {
 }
 
 func shadowVariableInBlock(m *muast.Manager) bool {
-	pm := m.Parents()
 	type inst struct {
 		vd    *cast.VarDecl
 		block *cast.CompoundStmt
@@ -522,7 +513,7 @@ func shadowVariableInBlock(m *muast.Manager) bool {
 			continue
 		}
 		// Find compound blocks nested inside the var's scope.
-		fn := pm.EnclosingFunction(vd)
+		fn := cast.EnclosingFunction(vd)
 		if fn == nil {
 			continue
 		}
@@ -545,7 +536,6 @@ func shadowVariableInBlock(m *muast.Manager) bool {
 }
 
 func addStaticToLocal(m *muast.Manager) bool {
-	pm := m.Parents()
 	var cands []*cast.VarDecl
 	for _, vd := range localVarDecls(m, false) {
 		if vd.Storage != cast.StorageNone {
@@ -554,7 +544,7 @@ func addStaticToLocal(m *muast.Manager) bool {
 		if vd.Init != nil && !isConstInit(vd.Init) {
 			continue // static initializers must be constant
 		}
-		if _, inFor := pm[pm[vd]].(*cast.ForStmt); inFor {
+		if _, inFor := cast.Parent(cast.Parent(vd)).(*cast.ForStmt); inFor {
 			continue
 		}
 		cands = append(cands, vd)

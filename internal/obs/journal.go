@@ -37,16 +37,7 @@ func NewJournal(w io.Writer) *Journal {
 // parent directory is reported as a clear error up front rather than
 // surfacing later as dropped events.
 func OpenJournal(path string) (*Journal, error) {
-	return OpenJournalCapped(path, 0)
-}
-
-// OpenJournalCapped creates a JSONL journal file whose size is capped
-// at maxBytes: when an append would exceed the cap, the current file is
-// fsynced, closed, and renamed to path+".1" (replacing any previous
-// rotation), and writing continues in a fresh file at path. maxBytes 0
-// disables rotation.
-func OpenJournalCapped(path string, maxBytes int64) (*Journal, error) {
-	rw, err := OpenRotating(path, maxBytes)
+	rw, err := OpenRotating(path, 0)
 	if err != nil {
 		return nil, err
 	}

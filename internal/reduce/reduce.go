@@ -24,11 +24,13 @@ import (
 type Oracle func(src string) bool
 
 // CrashOracle returns an oracle that accepts candidates crashing comp
-// with the same signature as the original report.
+// with the same signature as the original report. The oracle compiles
+// on its own Context, so it must not be called concurrently.
 func CrashOracle(comp *compilersim.Compiler, opts compilersim.Options,
 	signature string) Oracle {
+	cx := comp.NewContext()
 	return func(src string) bool {
-		res := comp.Compile(src, opts)
+		res := cx.Compile(src, opts)
 		return res.Crash != nil && res.Crash.Signature() == signature
 	}
 }
