@@ -61,7 +61,9 @@ race:
 # commit it with the fix as a regression seed.
 FUZZ_TARGETS = ./internal/mutcheck:FuzzMutantValidator \
 	./internal/mutcheck:FuzzCheckMatchesReject \
-	./internal/mutators:FuzzManagerResetMatchesFresh
+	./internal/mutators:FuzzManagerResetMatchesFresh \
+	./internal/muast:FuzzHasIdentMatchesRegexp \
+	./internal/cast:FuzzRewriterComposition
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -41,17 +41,19 @@ func (lx *Lexer) Reset(src string) {
 
 // Lex tokenizes the whole input, returning the token stream terminated by
 // a TokEOF token.
-func Lex(src string) ([]Token, error) {
+func Lex(src string) ([]Token, error) { return lexInto(src, nil) }
+
+// lexInto lexes src appending into buf (reusing its capacity).
+func lexInto(src string, buf []Token) ([]Token, error) {
 	lx := NewLexer(src)
-	var toks []Token
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return toks, err
+			return buf, err
 		}
-		toks = append(toks, t)
+		buf = append(buf, t)
 		if t.Kind == TokEOF {
-			return toks, nil
+			return buf, nil
 		}
 	}
 }

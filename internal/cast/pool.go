@@ -13,27 +13,3 @@ var tokenPool = sync.Pool{
 		return &s
 	},
 }
-
-// lexInto lexes src appending into buf (reusing its capacity).
-func lexInto(src string, buf []Token) ([]Token, error) {
-	lx := NewLexer(src)
-	for {
-		t, err := lx.Next()
-		if err != nil {
-			return buf, err
-		}
-		buf = append(buf, t)
-		if t.Kind == TokEOF {
-			return buf, nil
-		}
-	}
-}
-
-// editPool recycles the Rewriter's sorted-edit scratch used by
-// Rewritten (one per mutant render on the fuzzing hot path).
-var editPool = sync.Pool{
-	New: func() any {
-		s := make([]edit, 0, 32)
-		return &s
-	},
-}

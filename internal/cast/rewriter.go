@@ -1,7 +1,8 @@
 package cast
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 )
 
@@ -97,33 +98,32 @@ func (rw *Rewriter) replace(begin, end int, text string) bool {
 	return true
 }
 
-// Rewritten materializes the edited buffer.
+// Rewritten materializes the edited buffer. It sorts the recorded
+// edits in place: the order (begin, insertions first, seq) is total
+// because seq is unique, so sorting again is a no-op and edits recorded
+// after a Rewritten still compose.
 func (rw *Rewriter) Rewritten() string {
 	if len(rw.edits) == 0 {
 		return rw.src
 	}
-	bufp := editPool.Get().(*[]edit)
-	edits := append((*bufp)[:0], rw.edits...)
-	defer func() {
-		*bufp = edits[:0]
-		editPool.Put(bufp)
-	}()
-	sort.SliceStable(edits, func(i, j int) bool {
-		if edits[i].begin != edits[j].begin {
-			return edits[i].begin < edits[j].begin
+	slices.SortFunc(rw.edits, func(a, b edit) int {
+		if a.begin != b.begin {
+			return cmp.Compare(a.begin, b.begin)
 		}
 		// Replacements at the same point run after insertions so that an
 		// insert-before lands before the replaced text.
-		li, lj := edits[i].begin == edits[i].end, edits[j].begin == edits[j].end
-		if li != lj {
-			return li
+		if la, lb := a.begin == a.end, b.begin == b.end; la != lb {
+			if la {
+				return -1
+			}
+			return 1
 		}
-		return edits[i].seq < edits[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	var sb strings.Builder
 	sb.Grow(len(rw.src) + 64)
 	cur := 0
-	for _, e := range edits {
+	for _, e := range rw.edits {
 		if e.begin < cur {
 			// Insertion inside an earlier replacement; drop it.
 			continue

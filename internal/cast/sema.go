@@ -46,9 +46,9 @@ type sema struct {
 	errs   SemaErrors
 	// curFn is the function currently being checked.
 	curFn *FunctionDecl
-	// labels declared / used per function.
+	// labels declared and gotos' targets in use order, per function.
 	labels     map[string]bool
-	labelUses  map[string]int
+	gotos      []string
 	switchDep  int
 	loopDep    int
 	implicitly map[string]*FunctionDecl
@@ -241,26 +241,22 @@ func (s *sema) checkFunctionBody(fd *FunctionDecl) {
 	s.curFn = fd
 	if s.labels == nil {
 		s.labels = map[string]bool{}
-		s.labelUses = map[string]int{}
 	} else {
 		clear(s.labels)
-		clear(s.labelUses)
 	}
+	s.gotos = s.gotos[:0]
 	s.push()
 	for _, pv := range fd.Params {
 		s.declare(pv.Name, pv)
 	}
-	// Pre-scan labels: goto may jump forward.
-	Walk(fd.Body, func(n Node) bool {
-		if ls, ok := n.(*LabelStmt); ok {
-			s.labels[ls.Name] = true
-		}
-		return true
-	})
 	s.checkStmt(fd.Body)
-	for lbl, n := range s.labelUses {
-		if !s.labels[lbl] && n > 0 {
+	// goto may jump forward, so labels are only resolved once the whole
+	// body is checked; each undeclared one is reported once, in the
+	// order of its first use.
+	for _, lbl := range s.gotos {
+		if !s.labels[lbl] {
 			s.errorf(fd, "use of undeclared label %q in function %q", lbl, fd.Name)
+			s.labels[lbl] = true
 		}
 	}
 	s.pop()
@@ -362,8 +358,9 @@ func (s *sema) checkStmt(st Stmt) {
 			}
 		}
 	case *GotoStmt:
-		s.labelUses[x.Label]++
+		s.gotos = append(s.gotos, x.Label)
 	case *LabelStmt:
+		s.labels[x.Name] = true
 		s.checkStmt(x.Body)
 	case *NullStmt:
 	}

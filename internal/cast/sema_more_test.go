@@ -261,3 +261,40 @@ int main(void) {
 		t.Errorf("implicit decl not shared: %v", callees)
 	}
 }
+
+// TestSemaUndeclaredLabelsInUseOrder: undeclared labels are reported
+// once each, in the order of their first goto, on every run — the
+// diagnostics feed mutant classification and must be deterministic.
+func TestSemaUndeclaredLabelsInUseOrder(t *testing.T) {
+	const src = `int main(void) {
+    goto a1; goto b2; goto c3; goto a1; goto d4; goto e5;
+ok: goto ok;
+    return 0;
+}`
+	tu, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for i := 0; i < 200; i++ {
+		cerr := Check(tu)
+		if cerr == nil {
+			t.Fatal("undeclared labels accepted")
+		}
+		if i == 0 {
+			want = cerr.Error()
+			continue
+		}
+		if got := cerr.Error(); got != want {
+			t.Fatalf("run %d reported\n%s\nrun 0 reported\n%s", i, got, want)
+		}
+	}
+	se := Check(tu).(SemaErrors)
+	var order []string
+	for _, e := range se {
+		order = append(order, strings.Fields(e.Msg)[4])
+	}
+	if got := strings.Join(order, " "); got != `"a1" "b2" "c3" "d4" "e5"` {
+		t.Errorf("undeclared labels reported as %s", got)
+	}
+}

@@ -287,32 +287,46 @@ func arenaManager(src string, rng *rand.Rand, arena *cast.Arena) (*muast.Manager
 	return muast.NewManagerFromTU(tu, rng), nil
 }
 
-// uncheckedRewrite performs a completely unvalidated expression-over-
-// expression splice on src, parsed into the caller-owned arena. ok is
-// false when src has no two distinct expressions to splice.
-func uncheckedRewrite(src string, rng *rand.Rand, arena *cast.Arena) (string, bool) {
-	mgr, err := arenaManager(src, rng, arena)
+// splice performs a completely unvalidated expression-over-expression
+// splice on src: it copies the text of one random expression over
+// another, a plain text edit on the spliceArena's checked parse. ok is
+// false when src does not check, has fewer than two expressions, or
+// the draw picks nested or identically spelled expressions.
+func (s *stream) splice(src string) (string, bool) {
+	s.spliceArena.Reset()
+	tu, err := cast.ParseAndCheckArena(src, s.spliceArena)
 	if err != nil {
 		return "", false
 	}
-	exprs := mgr.Exprs(nil, nil)
+	exprs := s.spliceExprs[:0]
+	cast.Walk(tu, func(n cast.Node) bool {
+		if e, ok := n.(cast.Expr); ok {
+			exprs = append(exprs, e)
+		}
+		return true
+	})
+	s.spliceExprs = exprs
 	if len(exprs) < 2 {
 		return "", false
 	}
-	dst := exprs[rng.Intn(len(exprs))]
-	from := exprs[rng.Intn(len(exprs))]
-	if dst == from || dst.Range().Contains(from.Range()) ||
-		from.Range().Contains(dst.Range()) {
+	dst := exprs[s.rng.Intn(len(exprs))].Range()
+	from := exprs[s.rng.Intn(len(exprs))].Range()
+	// The splice runs outside safeApply's recover: a range the parser
+	// got wrong must fail the splice, not panic the stream.
+	if !inBounds(dst, len(src)) || !inBounds(from, len(src)) ||
+		dst.Contains(from) || from.Contains(dst) {
 		return "", false
 	}
-	text := mgr.GetSourceText(from)
-	if text == mgr.GetSourceText(dst) {
+	text := src[from.Begin:from.End]
+	if text == src[dst.Begin:dst.End] {
 		return "", false // identical spelling: would be a no-op splice
 	}
-	if !mgr.ReplaceNode(dst, text) {
-		return "", false
-	}
-	return mgr.Apply(), true
+	return src[:dst.Begin] + text + src[dst.End:], true
+}
+
+// inBounds reports whether r is a valid range of an n-byte source.
+func inBounds(r cast.SourceRange, n int) bool {
+	return 0 <= r.Begin && r.Begin <= r.End && r.End <= n
 }
 
 // ---------------------------------------------------------------------
@@ -332,11 +346,12 @@ type stream struct {
 	// static filter: each mutant is lexed, parsed and checked once.
 	cx *compilersim.Context
 	// parseArena backs the checked parse of the program the mutators
-	// run on; spliceArena backs the unchecked rewrite's parse. μCFuzz's
-	// step manager outlives the splices of its tries, so the two cannot
-	// share an arena.
+	// run on; spliceArena backs the splice's parse. μCFuzz's step
+	// manager outlives the splices of its tries, so the two cannot
+	// share an arena. spliceExprs is the splice's expression scratch.
 	parseArena  *cast.Arena
 	spliceArena *cast.Arena
+	spliceExprs []cast.Expr
 	// Quarantine benches mutators that keep panicking or exhausting
 	// their fuel budget (strike/parole discipline). Per-instance and
 	// tick-driven, so it never perturbs the deterministic schedule.
@@ -507,7 +522,7 @@ func (f *MuCFuzz) Step() {
 			continue // try the next (free)
 		}
 		if f.rng.Float64() < f.UncheckedRate {
-			if spliced, sok := uncheckedRewrite(mutant, f.rng, f.spliceArena); sok {
+			if spliced, sok := f.splice(mutant); sok {
 				mutant = spliced
 			}
 		}
@@ -680,7 +695,7 @@ func (f *MacroFuzzer) Step() {
 		return
 	}
 	if f.rng.Float64() < f.cfg.UncheckedRate {
-		if spliced, sok := uncheckedRewrite(cur, f.rng, f.spliceArena); sok {
+		if spliced, sok := f.splice(cur); sok {
 			cur = spliced
 		}
 	}

@@ -81,12 +81,11 @@ func TestMacroFlagSampling(t *testing.T) {
 }
 
 func TestUncheckedRewriteProducesOutput(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
+	s := &stream{rng: rand.New(rand.NewSource(9)), spliceArena: cast.NewArena()}
 	src := seeds.Generate(5, 1)[4]
-	arena := cast.NewArena()
 	produced := 0
 	for i := 0; i < 30; i++ {
-		if out, ok := uncheckedRewrite(src, rng, arena); ok {
+		if out, ok := s.splice(src); ok {
 			produced++
 			if out == src {
 				t.Error("unchecked rewrite was a no-op")

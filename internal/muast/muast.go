@@ -9,7 +9,6 @@ package muast
 import (
 	"fmt"
 	"math/rand"
-	"regexp"
 	"strings"
 
 	"github.com/icsnju/metamut-go/internal/cast"
@@ -42,7 +41,6 @@ type Manager struct {
 
 	rng     *rand.Rand
 	nameSeq int
-	idents  map[string]bool
 	fuel    int
 	budget  int
 }
@@ -60,11 +58,6 @@ func NewManager(src string, rng *rand.Rand) (*Manager, error) {
 	return NewManagerFromTU(tu, rng), nil
 }
 
-// identRe matches C identifiers; compiled once — NewManagerFromTU is
-// called for every mutator try, which made per-call compilation a
-// measurable hot spot.
-var identRe = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
-
 // NewManagerFromTU wraps an already-parsed translation unit. The
 // manager only reads the TU (all rewriting is text-level through RW),
 // so sharing one TU across managers is safe.
@@ -78,33 +71,16 @@ func NewManagerFromTU(tu *cast.TranslationUnit, rng *rand.Rand) *Manager {
 	}
 }
 
-// Reset discards recorded edits and restores the fuel budget, name
-// sequence and identifier set, making the manager equivalent to a
-// freshly constructed one over the same translation unit. The
-// fuzzers reuse one manager across the mutants of a step instead of
-// allocating a rewriter per try. The idents map does not survive:
-// generated names are recorded into it, so keeping it would shift
-// GenerateUniqueName results away from fresh-manager behavior. Parent
-// links need no reset; they live in the tree (cast.Parent).
+// Reset discards recorded edits and restores the fuel budget and name
+// sequence, making the manager equivalent to a freshly constructed one
+// over the same translation unit. The fuzzers reuse one manager across
+// the mutants of a step instead of allocating a rewriter per try.
+// Parent links need no reset; they live in the tree (cast.Parent).
 func (m *Manager) Reset() {
 	m.RW.Reset()
 	m.fuel = DefaultFuel
 	m.budget = DefaultFuel
 	m.nameSeq = 0
-	m.idents = nil
-}
-
-// identsMap lazily scans the source for identifiers. Most mutators
-// never call GenerateUniqueName, so the scan (regexp over the whole
-// program plus a map fill) is deferred until first use.
-func (m *Manager) identsMap() map[string]bool {
-	if m.idents == nil {
-		m.idents = map[string]bool{}
-		for _, id := range identRe.FindAllString(m.TU.Source, -1) {
-			m.idents[id] = true
-		}
-	}
-	return m.idents
 }
 
 // Rand exposes the manager's random stream.
@@ -329,46 +305,13 @@ func (m *Manager) InsertAfter(n cast.Node, text string) bool {
 // including the separating comma — simply removing the declaration node
 // is insufficient to fully eliminate the parameter (Figure 6).
 func (m *Manager) RemoveParmFromFuncDecl(fn *cast.FunctionDecl, pv *cast.ParmVarDecl) bool {
-	r := pv.Range()
-	src := m.RW.Source()
-	idx := -1
 	for i, p := range fn.Params {
 		if p == pv {
-			idx = i
-			break
+			// Sole parameter: leave "(void)" to keep a valid prototype.
+			return m.removeListItem(pv.Range(), i, len(fn.Params), "void")
 		}
 	}
-	if idx < 0 {
-		return false
-	}
-	switch {
-	case len(fn.Params) == 1:
-		// Sole parameter: leave "(void)" to keep a valid prototype.
-		return m.RW.ReplaceText(r, "void")
-	case idx < len(fn.Params)-1:
-		// Remove through the trailing comma.
-		end := r.End
-		for end < len(src) && (src[end] == ' ' || src[end] == '\t' || src[end] == '\n') {
-			end++
-		}
-		if end < len(src) && src[end] == ',' {
-			end++
-			for end < len(src) && src[end] == ' ' {
-				end++
-			}
-		}
-		return m.RW.ReplaceText(cast.SourceRange{Begin: r.Begin, End: end}, "")
-	default:
-		// Last parameter: remove the preceding comma too.
-		begin := r.Begin
-		for begin > 0 && (src[begin-1] == ' ' || src[begin-1] == '\t' || src[begin-1] == '\n') {
-			begin--
-		}
-		if begin > 0 && src[begin-1] == ',' {
-			begin--
-		}
-		return m.RW.ReplaceText(cast.SourceRange{Begin: begin, End: r.End}, "")
-	}
+	return false
 }
 
 // RemoveArgFromExpr removes the index-th argument from a function
@@ -377,12 +320,19 @@ func (m *Manager) RemoveArgFromExpr(call *cast.CallExpr, index int) bool {
 	if index < 0 || index >= len(call.Args) {
 		return false
 	}
-	r := call.Args[index].Range()
+	return m.removeListItem(call.Args[index].Range(), index, len(call.Args), "")
+}
+
+// removeListItem removes item idx, spanning r, of an n-item
+// comma-separated list together with one separating comma: the
+// trailing one for all but the last item, else the preceding one. A
+// sole item is replaced by sole.
+func (m *Manager) removeListItem(r cast.SourceRange, idx, n int, sole string) bool {
 	src := m.RW.Source()
 	switch {
-	case len(call.Args) == 1:
-		return m.RW.ReplaceText(r, "")
-	case index < len(call.Args)-1:
+	case n == 1:
+		return m.RW.ReplaceText(r, sole)
+	case idx < n-1:
 		end := r.End
 		for end < len(src) && (src[end] == ' ' || src[end] == '\t' || src[end] == '\n') {
 			end++
@@ -455,17 +405,56 @@ func (m *Manager) IsSideEffectFree(e cast.Expr) bool {
 
 // GenerateUniqueName generates an identifier based on baseName that does
 // not collide with any identifier in the program or a previously
-// generated name.
+// generated name. Candidates are baseName_<seq> with seq strictly
+// increasing, and the text after the last '_' is seq, so two candidates
+// of one manager never coincide: only the program text needs checking.
 func (m *Manager) GenerateUniqueName(baseName string) string {
-	idents := m.identsMap()
 	for {
 		m.nameSeq++
 		cand := fmt.Sprintf("%s_%d", baseName, m.nameSeq)
-		if !idents[cand] {
-			idents[cand] = true
+		if !hasIdent(m.TU.Source, cand) {
 			return cand
 		}
 	}
+}
+
+// hasIdent reports whether name is one of src's identifier tokens. A
+// token is a maximal run of [A-Za-z0-9_] bytes with its leading digits
+// cut off — what the regexp [A-Za-z_][A-Za-z0-9_]* finds scanning left
+// to right.
+func hasIdent(src, name string) bool {
+	if name == "" || isDigit(name[0]) {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		if !isIdentByte(name[i]) {
+			return false
+		}
+	}
+	for off := 0; ; {
+		i := strings.Index(src[off:], name)
+		if i < 0 {
+			return false
+		}
+		begin, end := off+i, off+i+len(name)
+		if end == len(src) || !isIdentByte(src[end]) {
+			// The run must start at begin once its leading digits are cut.
+			j := begin
+			for j > 0 && isDigit(src[j-1]) {
+				j--
+			}
+			if j == 0 || !isIdentByte(src[j-1]) {
+				return true
+			}
+		}
+		off = begin + 1
+	}
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+func isIdentByte(c byte) bool {
+	return c == '_' || isDigit(c) || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
 // FormatAsDecl formats a given type and identifier as a variable

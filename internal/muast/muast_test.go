@@ -93,6 +93,9 @@ func TestRemoveParmFromFuncDecl(t *testing.T) {
 		{"last", "int f(int a, int b) { return a; }", 1, "int f(int a)"},
 		{"first", "int f(int a, int b) { return b; }", 0, "int f(int b)"},
 		{"only", "int f(int a) { return 0; }", 0, "int f(void)"},
+		{"first-spaced", "int f(int a ,\n\tint b, int c) { return b + c; }", 0,
+			"int f(\n\tint b, int c)"},
+		{"last-spaced", "int f(int a,\n\tint b) { return a; }", 1, "int f(int a)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -133,6 +136,26 @@ func TestRemoveArgFromExpr(t *testing.T) {
 	}
 }
 
+func TestRemoveSoleArgAndForeignParm(t *testing.T) {
+	m := newMgr(t, "int g(int a); int main(void) { return g(7); }")
+	call := m.Collect(cast.KindCallExpr)[0].(*cast.CallExpr)
+	if !m.RemoveArgFromExpr(call, 0) {
+		t.Fatal("sole argument removal failed")
+	}
+	if out := m.Apply(); !strings.Contains(out, "return g();") {
+		t.Errorf("sole argument removal: got %q, want g()", out)
+	}
+
+	m = newMgr(t, "int f(int a) { return a; } int h(int b) { return b; }")
+	fns := m.Functions()
+	if m.RemoveParmFromFuncDecl(fns[0], fns[1].Params[0]) {
+		t.Error("removed a parameter of another function")
+	}
+	if m.Changed() {
+		t.Error("failed removal recorded an edit")
+	}
+}
+
 func TestGenerateUniqueName(t *testing.T) {
 	m := newMgr(t, prog)
 	seen := map[string]bool{}
@@ -145,6 +168,20 @@ func TestGenerateUniqueName(t *testing.T) {
 			t.Fatalf("generated name %q collides with program identifier", n)
 		}
 		seen[n] = true
+	}
+}
+
+// TestGenerateUniqueNameSkipsProgramIdentifiers: a candidate is taken
+// whenever the program text holds it as an identifier token, comments
+// included, and a token's leading digits are not part of it.
+func TestGenerateUniqueNameSkipsProgramIdentifiers(t *testing.T) {
+	m := newMgr(t, "int tmp_1; int main(void) { /* 7tmp_2 xtmp_3 */ return tmp_1; }")
+	var got []string
+	for i := 0; i < 2; i++ {
+		got = append(got, m.GenerateUniqueName("tmp"))
+	}
+	if want := []string{"tmp_3", "tmp_4"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("generated %v, want %v", got, want)
 	}
 }
 
@@ -246,10 +283,9 @@ func TestQuickApplyAlwaysParseable(t *testing.T) {
 // TestResetEquivalentToFresh pins the contract Reset's doc comment
 // states: a reset manager must be indistinguishable from a freshly
 // constructed one over the same program. The session below touches
-// every piece of state Reset must restore — edits (RW), fuel, the name
-// sequence, and the lazily-built identifier set — and runs it through
-// one reused manager and a per-round fresh manager driven by RNGs in
-// lockstep. Any drift (a surviving edit, a depleted budget, a name
+// every piece of state Reset must restore — edits (RW), fuel and the
+// name sequence — and runs it through one reused manager and a
+// per-round fresh manager driven by RNGs in lockstep. Any drift (a surviving edit, a depleted budget, a name
 // sequence that kept counting) shows up as diverging output.
 func TestResetEquivalentToFresh(t *testing.T) {
 	session := func(m *Manager) (out string, names []string, fuel int) {
