@@ -63,7 +63,8 @@ FUZZ_TARGETS = ./internal/mutcheck:FuzzMutantValidator \
 	./internal/mutcheck:FuzzCheckMatchesReject \
 	./internal/mutators:FuzzManagerResetMatchesFresh \
 	./internal/muast:FuzzHasIdentMatchesRegexp \
-	./internal/cast:FuzzRewriterComposition
+	./internal/cast:FuzzRewriterComposition \
+	./internal/compilersim:FuzzContextReuseMatchesFresh
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"github.com/icsnju/metamut-go/internal/compilersim/cover"
-	"github.com/icsnju/metamut-go/internal/compilersim/ir"
 	"github.com/icsnju/metamut-go/internal/obs"
 )
 
@@ -230,5 +229,3 @@ func FeatureNames(f Features) []string {
 	sort.Strings(keys)
 	return keys
 }
-
-var _ = ir.OpNop

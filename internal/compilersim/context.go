@@ -165,6 +165,10 @@ func (cx *Context) Check(src string) error {
 	return err
 }
 
+// TU returns the tree the last Check accepted, or nil if it rejected
+// its program. The tree lives in the context's arena until the next Check.
+func (cx *Context) TU() *cast.TranslationUnit { return cx.tu }
+
 // CompileChecked finishes the compile the last Check on this context
 // started: the front-end defect checks, IR generation, the optimizer
 // and the back-end under opts. A program Check rejected still runs the

@@ -274,30 +274,47 @@ func safeApply(mu *muast.Mutator, src string, mgr *muast.Manager) (mutant string
 	return
 }
 
-// arenaManager parses and checks src into arena, reset first, and wraps
-// the tree in a mutation manager. The manager borrows the arena: it and
-// every node it hands out are valid only until the arena's next reset,
-// so only the strings it produces (owned) may outlive that.
-func arenaManager(src string, rng *rand.Rand, arena *cast.Arena) (*muast.Manager, error) {
-	arena.Reset()
-	tu, err := cast.ParseAndCheckArena(src, arena)
+// manager returns the stream's mutation manager over src: the one it
+// holds, Reset to fresh state, when that already wraps src, else a new
+// one over src parsed and checked into the reset parse arena (a failed
+// parse leaves none). It and its nodes are valid until a manager call
+// parses, so only the strings it produces may outlive that.
+func (s *stream) manager(src string) (*muast.Manager, error) {
+	if s.mgr != nil && s.mgr.TU.Source == src {
+		s.mgr.Reset()
+		return s.mgr, nil
+	}
+	s.mgr = nil
+	s.parseArena.Reset()
+	tu, err := cast.ParseAndCheckArena(src, s.parseArena)
 	if err != nil {
 		return nil, err
 	}
-	return muast.NewManagerFromTU(tu, rng), nil
+	s.mgr = muast.NewManagerFromTU(tu, s.rng)
+	return s.mgr, nil
+}
+
+// check is the static filter: Check mutant on the compile context and,
+// if it checks and doSplice is set, splice it and Check the result. It
+// returns the text the context now holds and that text's verdict.
+func (s *stream) check(mutant string, doSplice bool) (string, error) {
+	err := s.cx.Check(mutant)
+	if err != nil || !doSplice {
+		return mutant, err
+	}
+	spliced, ok := s.splice(mutant, s.cx.TU())
+	if !ok {
+		return mutant, nil
+	}
+	return spliced, s.cx.Check(spliced)
 }
 
 // splice performs a completely unvalidated expression-over-expression
 // splice on src: it copies the text of one random expression over
-// another, a plain text edit on the spliceArena's checked parse. ok is
-// false when src does not check, has fewer than two expressions, or
-// the draw picks nested or identically spelled expressions.
-func (s *stream) splice(src string) (string, bool) {
-	s.spliceArena.Reset()
-	tu, err := cast.ParseAndCheckArena(src, s.spliceArena)
-	if err != nil {
-		return "", false
-	}
+// another, a plain text edit on tu, src's checked tree. ok is false
+// when src has fewer than two expressions or the draw picks nested or
+// identically spelled expressions.
+func (s *stream) splice(src string, tu *cast.TranslationUnit) (string, bool) {
 	exprs := s.spliceExprs[:0]
 	cast.Walk(tu, func(n cast.Node) bool {
 		if e, ok := n.(cast.Expr); ok {
@@ -335,7 +352,7 @@ func inBounds(r cast.SourceRange, n int) bool {
 
 // stream is what each fuzzer owns per fuzzing stream: the mutator
 // arsenal and program pool, the stream RNG, the accounting, the compile
-// context, the parse arenas, the quarantine and the scheduler. Both
+// context, the mutation manager, the quarantine and the scheduler. Both
 // fuzzers embed it, so its exported fields and methods are theirs.
 type stream struct {
 	mutators []*muast.Mutator
@@ -345,12 +362,11 @@ type stream struct {
 	// cx compiles every mutant, and its front end (Check) is the
 	// static filter: each mutant is lexed, parsed and checked once.
 	cx *compilersim.Context
-	// parseArena backs the checked parse of the program the mutators
-	// run on; spliceArena backs the splice's parse. μCFuzz's step
-	// manager outlives the splices of its tries, so the two cannot
-	// share an arena. spliceExprs is the splice's expression scratch.
+	// mgr is the mutation manager over the program the mutators run on
+	// (see manager), its tree in parseArena. spliceExprs is the
+	// splice's expression scratch, pointing into cx's arena.
+	mgr         *muast.Manager
 	parseArena  *cast.Arena
-	spliceArena *cast.Arena
 	spliceExprs []cast.Expr
 	// Quarantine benches mutators that keep panicking or exhausting
 	// their fuel budget (strike/parole discipline). Per-instance and
@@ -378,7 +394,6 @@ func (s *stream) init(name string, comp *compilersim.Compiler,
 	s.stats = NewStats(name)
 	s.cx = comp.NewContext()
 	s.parseArena = cast.NewArena()
-	s.spliceArena = cast.NewArena()
 	s.Quarantine = resil.NewQuarantine(DefaultQuarantine(), nil)
 	s.Sched = sched.NewUniform(len(mutators))
 	s.allowedFn = s.armAllowed
@@ -485,12 +500,6 @@ func (f *MuCFuzz) Step() {
 	// engine at any worker count.
 	order := f.Sched.Order(f.rng, f.allowedFn)
 	tries := 0
-	// One mutation manager serves every try of the step: all tries
-	// mutate the same pool program p, so the manager is built once
-	// (one parse into the parse arena, which also links parents) and
-	// Reset — which restores it to freshly-constructed state — recycles
-	// it between tries.
-	var mgr *muast.Manager
 	for _, mi := range order {
 		if tries >= f.MaxMutatorTries {
 			return
@@ -499,13 +508,9 @@ func (f *MuCFuzz) Step() {
 		if !f.Quarantine.Allowed(mu.Name) {
 			continue // benched offender; costs nothing, like inapplicable
 		}
-		if mgr == nil {
-			var err error
-			if mgr, err = arenaManager(p, f.rng, f.parseArena); err != nil {
-				return // pool entry no longer parses (should not happen)
-			}
-		} else {
-			mgr.Reset()
+		mgr, err := f.manager(p)
+		if err != nil {
+			return // pool entry no longer parses (should not happen)
 		}
 		mutant, ok, faulted, fuel := safeApply(mu, p, mgr)
 		if faulted {
@@ -521,18 +526,14 @@ func (f *MuCFuzz) Step() {
 			f.Sched.Observe(mi, sched.Reward{})
 			continue // try the next (free)
 		}
-		if f.rng.Float64() < f.UncheckedRate {
-			if spliced, sok := f.splice(mutant); sok {
-				mutant = spliced
-			}
-		}
+		// One front-end pass per mutant text: the splice reads Check's
+		// tree, and an accepted mutant's compile continues from it.
+		mutant, err = f.check(mutant, f.rng.Float64() < f.UncheckedRate)
 		if len(mutant) > f.MaxProgramSize {
 			continue
 		}
 		tries++
-		// One front-end pass per mutant: Check is the static filter, and
-		// an accepted mutant's compile continues from its checked tree.
-		if err := f.cx.Check(mutant); err != nil && f.StaticFilter {
+		if err != nil && f.StaticFilter {
 			f.stats.RecordStaticReject(mu.Name, mutcheck.Classify(err))
 			f.Sched.Observe(mi, sched.Reward{CompileError: true})
 			continue
@@ -663,7 +664,7 @@ func (f *MacroFuzzer) Step() {
 		if !f.Quarantine.Allowed(mu.Name) {
 			continue // benched offender; the round is spent, like a no-op
 		}
-		mgr, err := arenaManager(cur, f.rng, f.parseArena)
+		mgr, err := f.manager(cur)
 		if err != nil {
 			break // intermediate mutant went invalid; stop stacking
 		}
@@ -694,12 +695,8 @@ func (f *MacroFuzzer) Step() {
 	if cur == p {
 		return
 	}
-	if f.rng.Float64() < f.cfg.UncheckedRate {
-		if spliced, sok := f.splice(cur); sok {
-			cur = spliced
-		}
-	}
-	if err := f.cx.Check(cur); err != nil && f.cfg.StaticFilter {
+	cur, err := f.check(cur, f.rng.Float64() < f.cfg.UncheckedRate)
+	if err != nil && f.cfg.StaticFilter {
 		f.stats.RecordStaticReject(via, mutcheck.Classify(err))
 		for _, mi := range applied {
 			f.Sched.Observe(mi, sched.Reward{CompileError: true})

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/icsnju/metamut-go/internal/cast"
+	"github.com/icsnju/metamut-go/internal/compilersim"
 	"github.com/icsnju/metamut-go/internal/muast"
 	"github.com/icsnju/metamut-go/internal/seeds"
 )
@@ -41,7 +41,10 @@ func referenceSplice(src string, rng *rand.Rand) (string, bool) {
 // TestSpliceMatchesReference runs the splice and referenceSplice over
 // the seeds and every mutator's output on them, several draws per
 // input from RNGs in lockstep, and requires the same output, the same
-// ok and the same RNG state afterwards.
+// ok and the same RNG state afterwards. The splice walks the tree the
+// compile context's Check leaves, as the fuzzers' check step feeds it;
+// an input Check rejects is never spliced, which the reference must
+// agree with by declining without a draw.
 func TestSpliceMatchesReference(t *testing.T) {
 	pool := seeds.Generate(16, 11)
 	inputs := append([]string(nil), pool...)
@@ -56,13 +59,18 @@ func TestSpliceMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	s := &stream{spliceArena: cast.NewArena()}
+	s := &stream{}
+	cx := compilersim.New("gcc", 14).NewContext()
 	spliced := 0
 	for i, src := range inputs {
 		s.rng = rand.New(rand.NewSource(int64(i)))
 		ref := rand.New(rand.NewSource(int64(i)))
+		checkErr := cx.Check(src)
 		for draw := 0; draw < 4; draw++ {
-			got, gotOK := s.splice(src)
+			got, gotOK := "", false
+			if checkErr == nil {
+				got, gotOK = s.splice(src, cx.TU())
+			}
 			want, wantOK := referenceSplice(src, ref)
 			if got != want || gotOK != wantOK {
 				t.Fatalf("input %d draw %d: splice = (%q, %v), reference = (%q, %v)\n%s",

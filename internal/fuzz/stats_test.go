@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/icsnju/metamut-go/internal/cast"
 	"github.com/icsnju/metamut-go/internal/compilersim"
 	"github.com/icsnju/metamut-go/internal/compilersim/cover"
 	"github.com/icsnju/metamut-go/internal/muast"
@@ -81,11 +80,15 @@ func TestMacroFlagSampling(t *testing.T) {
 }
 
 func TestUncheckedRewriteProducesOutput(t *testing.T) {
-	s := &stream{rng: rand.New(rand.NewSource(9)), spliceArena: cast.NewArena()}
+	s := &stream{rng: rand.New(rand.NewSource(9))}
 	src := seeds.Generate(5, 1)[4]
+	cx := compilersim.New("gcc", 14).NewContext()
+	if err := cx.Check(src); err != nil {
+		t.Fatalf("seed does not check: %v", err)
+	}
 	produced := 0
 	for i := 0; i < 30; i++ {
-		if out, ok := s.splice(src); ok {
+		if out, ok := s.splice(src, cx.TU()); ok {
 			produced++
 			if out == src {
 				t.Error("unchecked rewrite was a no-op")
